@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke ci bench-campaign
+.PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-test bench-json ci bench-campaign
 
 all: verify
 
@@ -42,9 +42,9 @@ race-fast:
 		-run 'TestForEach|TestRunFaultRepeatable|TestCampaignParallel|TestConcurrent|TestRunCampaignMemo|TestSameOptions'
 
 # Golden behaviour-preservation test: Table 1 plus the full quick-scale
-# campaign for seed 1, compared byte-for-byte against testdata. Needs its
-# own timeout budget (~15 minutes serial on one core), so it self-skips
-# under go test's default 10-minute deadline and runs here instead.
+# campaign for seed 1, compared byte-for-byte against testdata. It takes
+# about 70 s on a 2-core box, but self-skips below a 30-minute deadline,
+# so go test's default 10-minute one leaves it to this target.
 # Regenerate after an intentional behaviour change with:
 #   go test ./internal/experiments -run TestGoldenSeed1 -update -timeout 60m
 golden:
@@ -158,7 +158,18 @@ soak-smoke:
 	grep -qF '0/2 cycles violated an invariant' $(CHAOS_SMOKE_DIR)/a.txt
 	rm -rf $(CHAOS_SMOKE_DIR)
 
-ci: vet verify race golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke
+# The benchmark (bench/, a Go module of its own that the root module's
+# build and tests do not see): its package tests, so it keeps building
+# against the simulator's API, and a full ledger run (every workload,
+# 3 runs each plus one per-layer run; writes
+# bench/results/BENCH_<yyyymmdd>_<sha>.json). See bench/README.md.
+bench-test:
+	$(GO) -C bench test ./...
+
+bench-json:
+	bash bench/run.sh -seed 1 -runs 3 -layers
+
+ci: vet verify race golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-test
 
 # Serial vs parallel full-campaign wall clock (see EXPERIMENTS.md,
 # "Runtime"). Each iteration is a complete 60-run campaign.

@@ -28,7 +28,7 @@ type CPU struct {
 	frozen  bool
 
 	// in-flight task bookkeeping, needed to suspend mid-task on freeze
-	done      *sim.Event
+	done      sim.Event
 	current   cpuTask
 	remaining time.Duration
 
@@ -101,7 +101,6 @@ func (c *CPU) schedule() {
 	c.done = c.k.After(c.remaining, func() {
 		c.busy += c.k.Now() - started
 		c.running = false
-		c.done = nil
 		fn := c.current.fn
 		c.current = cpuTask{}
 		if fn != nil {
@@ -113,7 +112,7 @@ func (c *CPU) schedule() {
 
 func (c *CPU) freeze() {
 	c.frozen = true
-	if c.running && c.done != nil {
+	if c.running && c.done.Pending() {
 		elapsed := c.done.When() - c.k.Now()
 		// elapsed is what remains; charge what already ran.
 		ran := c.remaining - elapsed
@@ -122,7 +121,6 @@ func (c *CPU) freeze() {
 		}
 		c.remaining = elapsed
 		c.done.Cancel()
-		c.done = nil
 	}
 }
 
@@ -137,10 +135,7 @@ func (c *CPU) unfreeze() {
 
 // reset discards all queued and in-flight work (node crash).
 func (c *CPU) reset() {
-	if c.done != nil {
-		c.done.Cancel()
-		c.done = nil
-	}
+	c.done.Cancel()
 	c.queue = nil
 	c.head = 0
 	c.running = false

@@ -25,9 +25,9 @@ var updateGolden = flag.Bool("update", false,
 //
 // and justify the diff in review.
 //
-// The full matrix is ~15 minutes of wall time on a small box, more than
-// go test's default 10-minute budget, so the test sizes itself against
-// the binary's deadline and skips when it cannot finish: it runs under
+// The full matrix is about 70 s of wall time on a 2-core box and far more
+// on a slow or race-instrumented one, so the test sizes itself against
+// the binary's deadline and skips when it may not finish: it runs under
 // `make golden` (part of `make ci`) or any invocation with a -timeout of
 // 30 minutes or more, and stays out of the tier-1 `go test ./...` path.
 func TestGoldenSeed1(t *testing.T) {

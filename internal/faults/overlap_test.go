@@ -117,7 +117,7 @@ func TestFaultIntoDownNodeIsNoOp(t *testing.T) {
 	k, d, rec, tr := quietDeployment(t)
 	inj := NewInjector(k, d, rec)
 	inj.Schedule(NodeCrash, 1, 5*time.Second, 30*time.Second)
-	inj.Schedule(AppCrash, 1, 10*time.Second, 0)             // no live process
+	inj.Schedule(AppCrash, 1, 10*time.Second, 0)              // no live process
 	inj.Schedule(NodeHang, 1, 12*time.Second, 10*time.Second) // node down
 	inj.Schedule(BadPtrNull, 1, 14*time.Second, 0)            // no live process
 	k.Run(120 * time.Second)
@@ -160,6 +160,32 @@ func TestAppHangRepairRacesDaemonRestart(t *testing.T) {
 	}
 	if p := d.Process(2); p == nil || p.Stopped() {
 		t.Fatal("replacement process is stopped — the stale AppHang repair hit it")
+	}
+}
+
+// TestNodeCrashDuringAppHang crashes a node while its PRESS process is
+// SIGSTOPped. The crash already discards the CPU's block, so the dying
+// stopped process must not release it a second time (this used to panic
+// "Unblock without Block"); after the reboot the CPU drains again and the
+// daemon's replacement runs.
+func TestNodeCrashDuringAppHang(t *testing.T) {
+	k, d, rec, tr := quietDeployment(t)
+	inj := NewInjector(k, d, rec)
+	inj.Schedule(AppHang, 2, 5*time.Second, 20*time.Second)   // repair at 25s
+	inj.Schedule(NodeCrash, 2, 10*time.Second, 5*time.Second) // boots at 15s
+	k.Run(60 * time.Second)
+	if d.HW.Node(2).CPU.Blocked() {
+		t.Fatal("CPU still blocked after the reboot")
+	}
+	if p := d.Process(2); p == nil || p.Stopped() {
+		t.Fatal("replacement process missing or stopped")
+	}
+	if s := d.Server(2); s == nil || !s.Alive() {
+		t.Fatal("daemon did not restart the server")
+	}
+	injects, heals := faultEvents(tr)
+	if len(injects) != 2 || len(heals) != 2 {
+		t.Fatalf("injects=%d heals=%d, want 2 and 2", len(injects), len(heals))
 	}
 }
 

@@ -199,8 +199,13 @@ func (p *Process) exit(killed bool) {
 	if !p.alive {
 		return
 	}
-	if p.stopped {
+	switch {
+	case p.stopped && p.os.node.Up:
 		p.Cont() // release any CPU block before dying
+	case p.stopped:
+		// Node crash: Node.Crash already discarded the CPU block, and
+		// a process on a dead node resumes nothing.
+		p.stopped = false
 	}
 	p.alive = false
 	delete(p.os.procs, p.PID)

@@ -239,9 +239,7 @@ func (s *Server) finishJoin() {
 		return
 	}
 	s.joined = true
-	if s.joinTimer != nil {
-		s.joinTimer.Cancel()
-	}
+	s.joinTimer.Cancel()
 	s.det.resetGrace()
 	s.emitMembership("rejoined", trace.NoNode)
 	s.mark(fmt.Sprintf("rejoined, members %v", s.Members()))

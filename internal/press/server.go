@@ -110,7 +110,7 @@ type Server struct {
 	remerge *sim.Ticker
 	sweep   *sim.Ticker
 
-	joinTimer *sim.Event
+	joinTimer sim.Event
 
 	// interpose, when set, mutates the parameters of intra-cluster send
 	// calls — the bad-parameter fault injection point (§4.3).
@@ -320,9 +320,7 @@ func (s *Server) teardown() {
 	}
 	s.alive = false
 	s.stopTickers()
-	if s.joinTimer != nil {
-		s.joinTimer.Cancel()
-	}
+	s.joinTimer.Cancel()
 	s.tr.Unlisten()
 	for _, j := range sortedKeys(s.conns) {
 		s.conns[j].Close()

@@ -28,6 +28,19 @@
 // [Kernel.RunAll] until the queue drains, [Kernel.Step] single-steps.
 // Scheduling in the past panics: it is always a model bug.
 //
+// An [Event] is a small value, not a pointer: a timer field holds one
+// directly, and its zero value means "no event", so [Event.Cancel] and
+// [Event.Pending] need no nil check. Callbacks live in a free-listed slot
+// arena beside a pointer-free binary heap of (time, sequence, slot)
+// entries. Cancel is eager: it removes the entry from the heap at once
+// and frees the slot, so the heap holds only live events and
+// [Kernel.Pending] is its length, O(1). Each slot carries a generation
+// that changes whenever the slot is freed; a handle remembers the
+// generation it was issued with, so cancelling a handle whose event
+// already fired or was cancelled is a no-op even after the slot has been
+// reused by a newer event. Scheduling allocates nothing once the arena
+// has grown to the peak number of live events.
+//
 // # Observability
 //
 // The kernel also carries the stack's tracer ([Kernel.SetTracer],

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -15,37 +14,55 @@ import (
 type Time = time.Duration
 
 // Event is a handle to a scheduled callback. It can be cancelled until it
-// fires. The zero value is not useful; events are created by Kernel.At and
-// Kernel.After.
+// fires. Handles are small values: copy them freely. The zero Event is a
+// handle to no event, so an unset timer field needs no nil check.
+//
+// A handle names an arena slot plus the slot's generation at scheduling
+// time. Firing or cancelling the event frees the slot and bumps the
+// generation, so a stale handle — even one whose slot now holds a newer
+// event — is simply no longer Pending.
 type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int // position in the heap, -1 once popped
+	k    *Kernel
+	slot int32
+	gen  uint32
 }
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancelled = true
-		e.fn = nil
+// Pending reports whether the event is still scheduled: it has neither
+// fired nor been cancelled. Inside its own callback an event is no longer
+// pending.
+func (e Event) Pending() bool {
+	return e.k != nil && e.k.slots[e.slot].gen == e.gen
+}
+
+// Cancel removes the event from the queue so it never fires. Cancelling an
+// event that already fired or was already cancelled, or the zero Event, is
+// a no-op.
+func (e Event) Cancel() {
+	if !e.Pending() {
+		return
 	}
+	k := e.k
+	k.remove(int(k.slots[e.slot].index))
+	k.release(e.slot)
 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e == nil || e.cancelled }
-
-// When returns the virtual time the event is scheduled to fire at.
-func (e *Event) When() Time { return e.at }
+// When returns the virtual time a pending event is scheduled to fire at,
+// or zero if it is not pending.
+func (e Event) When() Time {
+	if !e.Pending() {
+		return 0
+	}
+	return e.k.heap[e.k.slots[e.slot].index].at
+}
 
 // Kernel is a deterministic discrete-event scheduler. It is not safe for
 // concurrent use: the simulation model is single-threaded by design, which
 // is what makes runs reproducible.
 type Kernel struct {
 	now     Time
-	queue   eventQueue
+	heap    []entry // min-heap on (at, seq); holds no pointers
+	slots   []slot  // callback arena, indexed by entry.slot and Event.slot
+	free    []int32 // indices of unused slots
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -86,18 +103,27 @@ func (k *Kernel) Tracer() *trace.Tracer { return k.trc }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it is always a model bug.
-func (k *Kernel) At(t Time, fn func()) *Event {
+func (k *Kernel) At(t Time, fn func()) Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v which is before now %v", t, k.now))
 	}
-	e := &Event{at: t, seq: k.seq, fn: fn}
+	var s int32
+	if n := len(k.free); n > 0 {
+		s = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		s = int32(len(k.slots))
+		k.slots = append(k.slots, slot{})
+	}
+	k.slots[s].fn = fn
+	k.heap = append(k.heap, entry{at: t, seq: k.seq, slot: s})
 	k.seq++
-	heap.Push(&k.queue, e)
-	return e
+	k.up(len(k.heap) - 1)
+	return Event{k: k, slot: s, gen: k.slots[s].gen}
 }
 
 // After schedules fn to run d from now. Negative d panics.
-func (k *Kernel) After(d time.Duration, fn func()) *Event {
+func (k *Kernel) After(d time.Duration, fn func()) Event {
 	return k.At(k.now+d, fn)
 }
 
@@ -105,41 +131,33 @@ func (k *Kernel) After(d time.Duration, fn func()) *Event {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Step executes the single earliest pending event and returns true, or
-// returns false if the queue is empty. Cancelled events are skipped without
-// being counted as a step.
+// returns false if the queue is empty.
 func (k *Kernel) Step() bool {
-	for k.queue.Len() > 0 {
-		e := heap.Pop(&k.queue).(*Event)
-		if e.cancelled {
-			continue
-		}
-		k.now = e.at
-		fn := e.fn
-		e.fn = nil
-		k.processed++
-		fn()
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	top := k.heap[0]
+	k.remove(0)
+	fn := k.slots[top.slot].fn
+	k.release(top.slot)
+	k.now = top.at
+	k.processed++
+	fn()
+	return true
 }
 
 // Run executes events in timestamp order until the queue is exhausted,
 // Stop is called, or the next event would fire after until. The clock is
-// left at the time of the last executed event (or at until if it advanced
-// past every remaining event's deadline... it does not: the clock never
-// advances without an event; callers who need the clock at until should
-// schedule a no-op there).
+// left at the time of the last executed event: it never advances without
+// an event, so a caller who needs the clock at until should schedule a
+// no-op there.
 func (k *Kernel) Run(until Time) {
 	k.trc.Emit(trace.Event{
 		TS: k.now, Cat: trace.Sim, Name: trace.EvRun,
 		Node: trace.NoNode, Peer: trace.NoNode, Arg: int64(until),
 	})
 	k.stopped = false
-	for !k.stopped {
-		next, ok := k.peek()
-		if !ok || next > until {
-			return
-		}
+	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= until {
 		k.Step()
 	}
 }
@@ -151,61 +169,89 @@ func (k *Kernel) RunAll() {
 	}
 }
 
-func (k *Kernel) peek() (Time, bool) {
-	for k.queue.Len() > 0 {
-		e := k.queue[0]
-		if e.cancelled {
-			heap.Pop(&k.queue)
-			continue
+// Pending returns the number of scheduled events. Cancel removes an event
+// at once, so every queued event is live.
+func (k *Kernel) Pending() int { return len(k.heap) }
+
+// slot is one arena cell: the callback of a scheduled event, its entry's
+// position in the heap, and a generation that changes whenever the slot
+// is freed.
+type slot struct {
+	fn    func()
+	gen   uint32
+	index int32
+}
+
+// entry is one heap element. The sequence number breaks time ties so that
+// events scheduled earlier fire earlier, which keeps the simulation
+// deterministic.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// release frees slot s and invalidates every handle to it.
+func (k *Kernel) release(s int32) {
+	k.slots[s].fn = nil
+	k.slots[s].gen++
+	k.free = append(k.free, s)
+}
+
+// remove deletes the heap entry at position i.
+func (k *Kernel) remove(i int) {
+	n := len(k.heap) - 1
+	last := k.heap[n]
+	k.heap = k.heap[:n]
+	if i < n {
+		k.heap[i] = last
+		if !k.down(i) {
+			k.up(i)
 		}
-		return e.at, true
 	}
-	return 0, false
 }
 
-// Pending returns the number of live (non-cancelled) events in the queue.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, e := range k.queue {
-		if !e.cancelled {
-			n++
+// set places e at heap position i and records the position in its slot.
+func (k *Kernel) set(i int, e entry) {
+	k.heap[i] = e
+	k.slots[e.slot].index = int32(i)
+}
+
+func (k *Kernel) up(i int) {
+	e := k.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(k.heap[p]) {
+			break
 		}
+		k.set(i, k.heap[p])
+		i = p
 	}
-	return n
+	k.set(i, e)
 }
 
-// eventQueue is a min-heap ordered by (time, sequence). The sequence number
-// breaks ties so that events scheduled earlier fire earlier, which keeps the
-// simulation deterministic.
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// down sifts the entry at i toward the leaves and reports whether it moved.
+func (k *Kernel) down(i int) bool {
+	h := k.heap
+	e, i0 := h[i], i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		k.set(i, h[c])
+		i = c
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	k.set(i, e)
+	return i > i0
 }

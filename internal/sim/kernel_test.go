@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -48,8 +50,8 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if e.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
 }
 
@@ -265,5 +267,225 @@ func TestPendingCountsLiveEvents(t *testing.T) {
 	e1.Cancel()
 	if k.Pending() != 1 {
 		t.Fatalf("pending after cancel = %d, want 1", k.Pending())
+	}
+}
+
+func TestZeroEventIsInert(t *testing.T) {
+	var e Event
+	if e.Pending() {
+		t.Fatal("zero Event is pending")
+	}
+	if e.When() != 0 {
+		t.Fatalf("zero Event When() = %v, want 0", e.When())
+	}
+	e.Cancel() // must not panic
+
+	k := New(1)
+	fired := false
+	k.After(time.Second, func() { fired = true })
+	e.Cancel()
+	k.RunAll()
+	if !fired || k.Steps() != 1 {
+		t.Fatalf("zero Event Cancel disturbed the queue: fired=%v steps=%d", fired, k.Steps())
+	}
+}
+
+func TestStaleHandleAfterSlotReuse(t *testing.T) {
+	k := New(1)
+	old := k.After(time.Second, func() { t.Error("cancelled event fired") })
+	old.Cancel()
+	fired := false
+	reused := k.After(2*time.Second, func() { fired = true })
+	if reused.slot != old.slot {
+		t.Fatalf("slot not reused: old %d new %d", old.slot, reused.slot)
+	}
+	old.Cancel() // stale: must leave the slot's new occupant alone
+	if old.Pending() || !reused.Pending() || reused.When() != 2*time.Second {
+		t.Fatalf("stale cancel hit the reused slot: old=%v new=%v", old.Pending(), reused.Pending())
+	}
+	k.RunAll()
+	if !fired {
+		t.Fatal("reused slot's event did not fire")
+	}
+	reused.Cancel() // already fired: no-op
+	if k.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", k.Pending())
+	}
+}
+
+// refEvent is one event of the reference queue in TestQueueMatchesReference.
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+// TestQueueMatchesReference drives the kernel and a trivial sorted-slice
+// queue in lockstep through random At/After/Cancel/Step/Run(until)
+// sequences — including cancels from inside handlers, self-cancel of the
+// firing event, and cancels of fired and stale handles whose slots were
+// reused — and checks the firing order, the clock, Pending and every
+// handle's state after each operation.
+func TestQueueMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New(seed)
+		var (
+			ref     []refEvent // sorted by (at, seq)
+			handles []Event    // by id
+			seq     uint64
+			fired   int
+		)
+		check := func(op string) {
+			t.Helper()
+			if k.Pending() != len(ref) {
+				t.Fatalf("seed %d after %s: Pending() = %d, reference %d", seed, op, k.Pending(), len(ref))
+			}
+			live := make(map[int]Time, len(ref))
+			for _, r := range ref {
+				live[r.id] = r.at
+			}
+			for id, h := range handles {
+				at, ok := live[id]
+				if h.Pending() != ok || h.When() != at {
+					t.Fatalf("seed %d after %s: event %d Pending=%v When=%v, reference %v %v",
+						seed, op, id, h.Pending(), h.When(), ok, at)
+				}
+			}
+		}
+		cancel := func(id int) {
+			handles[id].Cancel()
+			for i, r := range ref {
+				if r.id == id {
+					ref = append(ref[:i], ref[i+1:]...)
+					break
+				}
+			}
+		}
+		var schedule func()
+		schedule = func() {
+			// Short hops and long timeouts, on a coarse grid for ties.
+			at := k.Now() + Time(rng.Intn(20))*time.Millisecond
+			if rng.Intn(2) == 0 {
+				at += Time(rng.Intn(100)) * 20 * time.Millisecond
+			}
+			id := len(handles)
+			r := refEvent{at: at, seq: seq, id: id}
+			seq++
+			i := sort.Search(len(ref), func(i int) bool {
+				return ref[i].at > at || (ref[i].at == at && ref[i].seq > r.seq)
+			})
+			ref = append(ref, refEvent{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = r
+			fn := func() {
+				if len(ref) == 0 || ref[0].id != id {
+					t.Fatalf("seed %d: event %d fired, reference expected %v", seed, id, ref)
+				}
+				if k.Now() != ref[0].at {
+					t.Fatalf("seed %d: event %d fired at %v, want %v", seed, id, k.Now(), ref[0].at)
+				}
+				ref = ref[1:]
+				fired++
+				check("fire")
+				switch rng.Intn(6) {
+				case 0:
+					cancel(id) // self-cancel: the event already fired
+				case 1:
+					cancel(rng.Intn(len(handles)))
+				case 2, 3:
+					schedule()
+				}
+				check("handler")
+			}
+			if rng.Intn(2) == 0 {
+				handles = append(handles, k.At(at, fn))
+			} else {
+				handles = append(handles, k.After(at-k.Now(), fn))
+			}
+		}
+		for op := 0; op < 600; op++ {
+			switch n := rng.Intn(10); {
+			case n < 5:
+				schedule()
+				check("schedule")
+			case n < 7:
+				if len(handles) > 0 {
+					cancel(rng.Intn(len(handles)))
+				}
+				check("cancel")
+			case n < 9:
+				queued := len(ref)
+				if k.Step() != (queued > 0) {
+					t.Fatalf("seed %d: Step with %d queued returned the wrong result", seed, queued)
+				}
+				check("step")
+			default:
+				until := k.Now() + Time(rng.Intn(30))*time.Millisecond
+				k.Run(until)
+				if len(ref) > 0 && ref[0].at <= until {
+					t.Fatalf("seed %d: Run(%v) returned with event due at %v", seed, until, ref[0].at)
+				}
+				check("run")
+			}
+		}
+		k.RunAll()
+		check("drain")
+		if fired == 0 || len(handles) < 300 {
+			t.Fatalf("seed %d: degenerate sequence, %d handles, %d fired", seed, len(handles), fired)
+		}
+	}
+}
+
+func TestTickerRearmDoesNotAllocate(t *testing.T) {
+	k := New(1)
+	n := 0
+	tk := NewTicker(k, time.Second, func() { n++ })
+	tk.Start()
+	k.Step() // warm the arena
+	if allocs := testing.AllocsPerRun(100, func() { k.Step() }); allocs != 0 {
+		t.Fatalf("ticker re-arm allocates %.1f times per tick", allocs)
+	}
+	if n < 100 {
+		t.Fatalf("ticks = %d, want at least 100", n)
+	}
+}
+
+// BenchmarkKernel drives the kernel with the timer churn of a fault
+// run's request path: each request arms a 6 s client timeout and a
+// 200 ms retransmit timer, fires eleven short events about 100 us apart,
+// and cancels both timers on the way. At 2500 requests/s about 15k
+// timeouts are armed at once. One op is one fired event, so ns/op and
+// allocs/op are per event.
+func BenchmarkKernel(b *testing.B) {
+	const rate = 2500.0
+	k := New(1)
+	nop := func() {}
+	var arrive func()
+	arrive = func() {
+		timeout := k.After(6*time.Second, nop)
+		rto := k.After(200*time.Millisecond, nop)
+		step := 0
+		var hop func()
+		hop = func() {
+			step++
+			switch step {
+			case 5:
+				rto.Cancel()
+			case 11:
+				timeout.Cancel()
+				return
+			}
+			k.After(100*time.Microsecond, hop)
+		}
+		k.After(100*time.Microsecond, hop)
+		k.After(time.Duration(k.Rand().ExpFloat64()/rate*float64(time.Second)), arrive)
+	}
+	k.After(0, arrive)
+	k.Run(7 * time.Second) // past one timeout: the queue size is steady
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := k.Steps() + uint64(b.N); k.Steps() < end; {
+		k.Step()
 	}
 }

@@ -9,7 +9,8 @@ type Ticker struct {
 	k      *Kernel
 	period time.Duration
 	fn     func()
-	ev     *Event
+	tick   func() // built once, so re-arming does not allocate
+	ev     Event
 	on     bool
 }
 
@@ -18,7 +19,17 @@ func NewTicker(k *Kernel, period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	return &Ticker{k: k, period: period, fn: fn}
+	t := &Ticker{k: k, period: period, fn: fn}
+	t.tick = func() {
+		if !t.on {
+			return
+		}
+		t.fn()
+		if t.on { // fn may have stopped us
+			t.schedule()
+		}
+	}
+	return t
 }
 
 // Start arms the ticker; the first tick fires one period from now.
@@ -34,23 +45,10 @@ func (t *Ticker) Start() {
 // Stop disarms the ticker. The callback will not fire again until Start.
 func (t *Ticker) Stop() {
 	t.on = false
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
-	}
+	t.ev.Cancel()
 }
 
 // Running reports whether the ticker is armed.
 func (t *Ticker) Running() bool { return t.on }
 
-func (t *Ticker) schedule() {
-	t.ev = t.k.After(t.period, func() {
-		if !t.on {
-			return
-		}
-		t.fn()
-		if t.on { // fn may have stopped us
-			t.schedule()
-		}
-	})
-}
+func (t *Ticker) schedule() { t.ev = t.k.After(t.period, t.tick) }

@@ -96,10 +96,10 @@ type Conn struct {
 	sndUna     int64     // oldest unacknowledged byte
 	peerWindow int64
 	rto        time.Duration
-	rtoTimer   *sim.Event
+	rtoTimer   sim.Event
 	noProgress sim.Time // when the current stall started (-1 = none)
 	wantWrite  bool
-	skbufWait  *sim.Event
+	skbufWait  sim.Event
 
 	// --- receiver side ---
 	rcvNext      int64     // next expected stream byte
@@ -188,11 +188,10 @@ func (c *Conn) Send(p comm.SendParams) error {
 }
 
 func (c *Conn) armSKBufRetry() {
-	if c.skbufWait != nil {
+	if c.skbufWait.Pending() {
 		return
 	}
 	c.skbufWait = c.s.k.After(c.s.cfg.SKBufRetry, func() {
-		c.skbufWait = nil
 		if c.state != stEstablished {
 			return
 		}
@@ -266,14 +265,13 @@ func (c *Conn) transmitSegment(from, length int64) bool {
 }
 
 func (c *Conn) armRTO() {
-	if c.rtoTimer != nil {
+	if c.rtoTimer.Pending() {
 		return
 	}
 	if c.noProgress < 0 {
 		c.noProgress = c.s.k.Now()
 	}
 	c.rtoTimer = c.s.k.After(c.rto, func() {
-		c.rtoTimer = nil
 		if c.state != stEstablished {
 			return
 		}
@@ -316,10 +314,7 @@ func (c *Conn) handleAck(f frame) {
 		// Progress: reset backoff and the abort clock.
 		c.rto = c.s.cfg.InitialRTO
 		c.noProgress = -1
-		if c.rtoTimer != nil {
-			c.rtoTimer.Cancel()
-			c.rtoTimer = nil
-		}
+		c.rtoTimer.Cancel()
 		// Drop fully acknowledged records.
 		i := 0
 		for i < len(c.sendQ) && c.sendQ[i].end <= c.sndUna {
@@ -463,14 +458,8 @@ func (c *Conn) vanish() { c.die() }
 
 func (c *Conn) die() {
 	c.state = stDead
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
-	if c.skbufWait != nil {
-		c.skbufWait.Cancel()
-		c.skbufWait = nil
-	}
+	c.rtoTimer.Cancel()
+	c.skbufWait.Cancel()
 	if c.s.conns != nil {
 		delete(c.s.conns, c.id)
 	}

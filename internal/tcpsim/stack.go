@@ -140,7 +140,7 @@ type dialState struct {
 	conn     *Conn
 	cb       func(*Conn, error)
 	attempts int
-	timer    *sim.Event
+	timer    sim.Event
 }
 
 // NewStack creates and installs the TCP stack for a node.
@@ -167,9 +167,7 @@ func (s *Stack) teardown() {
 	}
 	s.conns = nil
 	for _, d := range s.dials {
-		if d.timer != nil {
-			d.timer.Cancel()
-		}
+		d.timer.Cancel()
 	}
 	s.dials = nil
 	s.listener = nil
@@ -293,9 +291,7 @@ func (s *Stack) onSYNACK(f frame) {
 		return // duplicate SYNACK after establishment
 	}
 	delete(s.dials, f.connID)
-	if d.timer != nil {
-		d.timer.Cancel()
-	}
+	d.timer.Cancel()
 	d.conn.state = stEstablished
 	d.cb(d.conn, nil)
 }
@@ -321,9 +317,7 @@ func (s *Stack) onRST(f frame) {
 	if d, ok := s.dials[f.connID]; ok {
 		delete(s.dials, f.connID)
 		delete(s.conns, f.connID)
-		if d.timer != nil {
-			d.timer.Cancel()
-		}
+		d.timer.Cancel()
 		d.conn.state = stDead
 		d.cb(nil, ErrRefused)
 		return

@@ -59,7 +59,7 @@ type pendingMsg struct {
 	f     frame
 	size  int
 	tries int
-	timer *sim.Event
+	timer sim.Event
 }
 
 // VI is one Virtual Interface endpoint (a connected channel to one peer).
@@ -221,9 +221,7 @@ func (v *VI) handleHWAck(msgID uint64) {
 	if !ok {
 		return
 	}
-	if pm.timer != nil {
-		pm.timer.Cancel()
-	}
+	pm.timer.Cancel()
 	delete(v.pending, msgID)
 }
 
@@ -409,9 +407,7 @@ func (v *VI) breakConn(err error) {
 
 func (v *VI) cancelTimers() {
 	for _, pm := range v.pending {
-		if pm.timer != nil {
-			pm.timer.Cancel()
-		}
+		pm.timer.Cancel()
 	}
 	v.pending = make(map[uint64]*pendingMsg)
 }

@@ -103,7 +103,7 @@ type Request struct {
 	birth     sim.Time
 	settled   bool
 	succeeded bool
-	timer     *sim.Event
+	timer     sim.Event
 }
 
 // Birth returns the virtual time the client issued the request — the
@@ -118,9 +118,7 @@ func (r *Request) Complete() {
 	}
 	r.settled = true
 	r.succeeded = true
-	if r.timer != nil {
-		r.timer.Cancel()
-	}
+	r.timer.Cancel()
 	r.clients.settle(r, metrics.Served)
 }
 
@@ -131,9 +129,7 @@ func (r *Request) Fail(o metrics.Outcome) {
 		return
 	}
 	r.settled = true
-	if r.timer != nil {
-		r.timer.Cancel()
-	}
+	r.timer.Cancel()
 	r.clients.settle(r, o)
 }
 
