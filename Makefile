@@ -43,8 +43,11 @@ race-fast:
 
 # Golden behaviour-preservation test: Table 1 plus the full quick-scale
 # campaign for seed 1, compared byte-for-byte against testdata. It takes
-# about 70 s on a 2-core box, but self-skips below a 30-minute deadline,
-# so go test's default 10-minute one leaves it to this target.
+# one to five minutes on a 2-core box and self-skips below a 5-minute
+# deadline (or when Table 1's time projects the campaign past the
+# deadline), so a plain `go test ./...` (default 10-minute deadline) runs
+# it too; this target runs it alone, verbose, with headroom for slow
+# machines.
 # Regenerate after an intentional behaviour change with:
 #   go test ./internal/experiments -run TestGoldenSeed1 -update -timeout 60m
 golden:

@@ -148,3 +148,22 @@ func TestRunLayersDoNotAssembleInstrumentation(t *testing.T) {
 		}
 	}
 }
+
+// The chaos package has one search loop: random search is RunGuided's
+// one-round case, not a second engine. A second fan-out call site would
+// mean a second campaign loop with its own setup, shrink policy and
+// report type.
+func TestChaosHasOneSearchLoop(t *testing.T) {
+	const call = "experiments.ForEach("
+	n := 0
+	for _, path := range goFiles(t, pkgChaos) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read %s: %v", path, err)
+		}
+		n += strings.Count(string(src), call)
+	}
+	if n != 1 {
+		t.Errorf("%s non-test sources contain %d %s call sites, want exactly 1", pkgChaos, n, call)
+	}
+}

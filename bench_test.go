@@ -8,6 +8,7 @@ package vivo_test
 
 import (
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,18 +184,22 @@ func BenchmarkAblationHeartbeat(b *testing.B) {
 		b.Run(timeout.String(), func(b *testing.B) {
 			var detect time.Duration
 			for i := 0; i < b.N; i++ {
-				opt := benchOpt
-				k := sim.New(77)
-				cfg := opt.Config(press.TCPPressHB)
+				cfg := benchOpt.Config(press.TCPPressHB)
 				cfg.HBTimeout = timeout
-				detect = measureLinkDetection(k, cfg, opt)
+				detect = measureLinkDetection(cfg)
 			}
 			b.ReportMetric(detect.Seconds(), "detect-s")
 		})
 	}
 }
 
-func measureLinkDetection(k *sim.Kernel, cfg press.Config, opt experiments.Options) time.Duration {
+// loadedDeployment starts the ablations' common run: a warm deployment
+// of cfg under 2000 Zipf clients, on a fresh kernel seeded with seed.
+// The trace draws from the kernel's RNG after warm-up, so this order of
+// construction fixes every random draw of the run. Deployment events
+// are marked on the returned recorder.
+func loadedDeployment(seed int64, cfg press.Config) (*sim.Kernel, *press.Deployment, *metrics.Recorder) {
+	k := sim.New(seed)
 	rec := metrics.NewRecorder(k, time.Second)
 	d := press.NewDeployment(k, cfg)
 	d.Events = func(l string) { rec.MarkNow(l) }
@@ -203,27 +208,22 @@ func measureLinkDetection(k *sim.Kernel, cfg press.Config, opt experiments.Optio
 	tr := workload.NewTrace(workload.TraceConfig{
 		Files: cfg.WorkingSetFiles, FileSize: int(cfg.FileSize), ZipfS: 1.2,
 	}, k.Rand())
-	cl := workload.NewClients(k, workload.DefaultClients(2000, cfg.Nodes), tr, d, rec)
-	cl.Start()
+	workload.NewClients(k, workload.DefaultClients(2000, cfg.Nodes), tr, d, rec).Start()
+	return k, d, rec
+}
+
+func measureLinkDetection(cfg press.Config) time.Duration {
+	k, d, rec := loadedDeployment(77, cfg)
 	k.Run(30 * time.Second)
 	d.HW.Node(3).Link.Up = false
 	injected := k.Now()
 	k.Run(30*time.Second + 3*cfg.HBTimeout + 10*time.Second)
 	for _, m := range rec.Marks() {
-		if m.At > injected && containsAny(m.Label, "reconfigured") {
+		if m.At > injected && strings.Contains(m.Label, "reconfigured") {
 			return m.At - injected
 		}
 	}
 	return -1
-}
-
-func containsAny(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // BenchmarkAblationPreallocation compares VIA with pre-allocated channel
@@ -241,8 +241,7 @@ func BenchmarkAblationPreallocation(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var avail float64
 			for i := 0; i < b.N; i++ {
-				opt := benchOpt
-				cfg := opt.Config(press.VIAPress0)
+				cfg := benchOpt.Config(press.VIAPress0)
 				vo := cfg.Substrate.Opts.(subvia.Options)
 				vo.Config.DynamicBuffers = dynamic
 				cfg.Substrate = subvia.Spec(vo)
@@ -254,16 +253,7 @@ func BenchmarkAblationPreallocation(b *testing.B) {
 }
 
 func kernelMemoryAvailability(cfg press.Config) float64 {
-	k := sim.New(99)
-	rec := metrics.NewRecorder(k, time.Second)
-	d := press.NewDeployment(k, cfg)
-	d.Start()
-	d.WarmStart()
-	tr := workload.NewTrace(workload.TraceConfig{
-		Files: cfg.WorkingSetFiles, FileSize: int(cfg.FileSize), ZipfS: 1.2,
-	}, k.Rand())
-	cl := workload.NewClients(k, workload.DefaultClients(2000, cfg.Nodes), tr, d, rec)
-	cl.Start()
+	k, d, rec := loadedDeployment(99, cfg)
 	inj := faults.NewInjector(k, d, rec)
 	inj.Schedule(faults.KernelMemory, 3, 30*time.Second, 60*time.Second)
 	k.Run(150 * time.Second)
@@ -284,8 +274,7 @@ func BenchmarkAblationRemerge(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var members float64
 			for i := 0; i < b.N; i++ {
-				opt := benchOpt
-				cfg := opt.Config(press.TCPPressHB)
+				cfg := benchOpt.Config(press.TCPPressHB)
 				cfg.Remerge = remerge
 				members = splinterEndMembers(cfg)
 			}
@@ -295,16 +284,7 @@ func BenchmarkAblationRemerge(b *testing.B) {
 }
 
 func splinterEndMembers(cfg press.Config) float64 {
-	k := sim.New(55)
-	rec := metrics.NewRecorder(k, time.Second)
-	d := press.NewDeployment(k, cfg)
-	d.Start()
-	d.WarmStart()
-	tr := workload.NewTrace(workload.TraceConfig{
-		Files: cfg.WorkingSetFiles, FileSize: int(cfg.FileSize), ZipfS: 1.2,
-	}, k.Rand())
-	cl := workload.NewClients(k, workload.DefaultClients(2000, cfg.Nodes), tr, d, rec)
-	cl.Start()
+	k, d, _ := loadedDeployment(55, cfg)
 	k.Run(30 * time.Second)
 	d.HW.Node(3).Link.Up = false
 	k.After(60*time.Second, func() { d.HW.Node(3).Link.Up = true })
@@ -329,7 +309,7 @@ func BenchmarkAblationFraming(b *testing.B) {
 				fr := experiments.RunFault(v, faults.BadSizeOffset, benchOpt)
 				n := 0
 				for _, m := range fr.Timeline.Marks {
-					if m.At > fr.Obs.Injected && containsAny(m.Label, "press started") {
+					if m.At > fr.Obs.Injected && strings.Contains(m.Label, "press started") {
 						n++
 					}
 				}

@@ -7,16 +7,22 @@
 // under -out; `chaos -replay <artifact>` re-runs it deterministically
 // and re-judges it.
 //
-// Three search modes share the oracle suite:
+// A campaign runs -runs schedules through one search loop
+// (chaos.RunGuided). Each round plans a batch of schedules against the
+// corpus of schedules that lit new coverage-signature bits, then runs
+// them; the corpus is written to -corpus.
 //
-//   - the default draws -runs independent random schedules;
-//   - -coverage replaces random draws with a coverage-guided mutation
-//     loop: a corpus of schedules that lit new coverage-signature bits
-//     seeds add/remove/shift/stretch/crossover mutations (-batch per
-//     round, corpus written to -corpus);
-//   - -soak chains -cycles schedules back-to-back on one surviving
-//     kernel and judges the continuously checkable invariants at every
-//     cycle boundary.
+//   - the default is random search: one round of -runs schedules
+//     against the empty corpus, so every schedule is an independent
+//     random draw;
+//   - -coverage plans rounds of -batch schedules, so later rounds
+//     mostly mutate corpus members (add/remove/shift/stretch/crossover);
+//   - -soak instead chains -cycles schedules back-to-back on one
+//     surviving kernel and judges the continuously checkable invariants
+//     at every cycle boundary.
+//
+// Only the first run violating each distinct set of oracles is shrunk
+// and written as repro_run<NN>.json.
 //
 // -break-oracle <fault> arms an intentionally broken fixture oracle that
 // flags any injection of the named fault as a violation; -break-pair
@@ -30,8 +36,8 @@
 //	chaos [-version TCP-PRESS] [-seed 1] [-runs 8] [-budget 4] [-parallel N]
 //	      [-full] [-load 0.5] [-stabilize 30s] [-window 60s] [-min-dur 5s]
 //	      [-max-dur 30s] [-settle 45s] [-out DIR] [-trace DIR]
-//	      [-break-oracle FAULT] [-break-pair A+B]
-//	chaos -coverage [-batch 8] [-corpus DIR] [...campaign flags]
+//	      [-corpus DIR] [-break-oracle FAULT] [-break-pair A+B]
+//	chaos -coverage [-batch 8] [...campaign flags]
 //	chaos -soak [-cycles 4] [-trace out.trace.json] [...campaign flags]
 //	chaos -replay repro.json [-trace out.trace.json]
 package main
@@ -103,50 +109,24 @@ func main() {
 		runSoak(version, p, cf)
 		return
 	}
+	// Without -coverage the batch covers the whole budget: one planning
+	// round against an empty corpus, i.e. pure random search.
+	batch := *cf.Runs
 	if *cf.Coverage {
-		runGuided(version, p, cf, oracles)
-		return
+		batch = *cf.Batch
 	}
-
-	rep, err := chaos.Run(chaos.Options{
-		Version:  version,
-		Seed:     *cf.Seed,
-		Runs:     *cf.Runs,
-		Parallel: *cf.Parallel,
-		TraceDir: *cf.Trace,
-		Params:   p,
-	}, oracles)
-	if err != nil {
-		log.Fatalf("chaos campaign: %v", err)
-	}
-	fmt.Print(rep.String())
-
-	dir := reproDir(*cf.Out)
-	for _, rr := range rep.Runs {
-		if rr.Repro == nil {
-			continue
-		}
-		writeRepro(dir, fmt.Sprintf("repro_run%02d.json", rr.Index), *rr.Repro)
-	}
-	if rep.Violated() > 0 {
-		os.Exit(1)
-	}
-}
-
-// runGuided executes the coverage-guided search mode.
-func runGuided(version press.Version, p chaos.Params, cf *cli.ChaosFlags, oracles []chaos.Oracle) {
 	rep, err := chaos.RunGuided(chaos.GuidedOptions{
 		Version:   version,
 		Seed:      *cf.Seed,
 		Budget:    *cf.Runs,
-		Batch:     *cf.Batch,
+		Batch:     batch,
 		Parallel:  *cf.Parallel,
 		CorpusDir: *cf.Corpus,
 		TraceDir:  *cf.Trace,
 		Params:    p,
 	}, oracles)
 	if err != nil {
-		log.Fatalf("chaos guided campaign: %v", err)
+		log.Fatalf("chaos campaign: %v", err)
 	}
 	fmt.Print(rep.String())
 
@@ -155,7 +135,7 @@ func runGuided(version press.Version, p chaos.Params, cf *cli.ChaosFlags, oracle
 		if gr.Repro == nil {
 			continue
 		}
-		writeRepro(dir, fmt.Sprintf("repro_run%03d.json", gr.Index), *gr.Repro)
+		writeRepro(dir, fmt.Sprintf("repro_run%02d.json", gr.Index), *gr.Repro)
 	}
 	if rep.Violated() > 0 {
 		os.Exit(1)

@@ -2,39 +2,12 @@ package chaos
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
-	"vivo/internal/experiments"
 	"vivo/internal/press"
 	"vivo/internal/trace"
 )
-
-// Options configures one chaos campaign.
-type Options struct {
-	// Version is the PRESS version under test.
-	Version press.Version
-	// Seed makes the whole campaign deterministic: schedules, run
-	// seeds and the baseline all derive from it.
-	Seed int64
-	// Runs is the number of randomized schedules to generate and run.
-	Runs int
-	// Parallel bounds concurrent runs (0 = GOMAXPROCS, 1 = serial);
-	// like the experiment campaigns, results are bit-identical at any
-	// setting.
-	Parallel int
-	// TraceDir, when non-empty, receives a Perfetto-loadable event
-	// trace per run (chaos_run<i>.trace.json plus baseline.trace.json).
-	// Side effect only: traces never feed back into verdicts.
-	TraceDir string
-	// Params fixes scale and timing; zero value means DefaultParams.
-	Params Params
-
-	// runner substitutes the simulation for tests (nil = real runs).
-	runner runFunc
-}
 
 // runFunc abstracts one simulated run so the guided-vs-random comparison
 // tests can substitute a synthetic runner. name labels the run's trace
@@ -42,75 +15,27 @@ type Options struct {
 // candidates, replays inside the shrinker).
 type runFunc func(v press.Version, p Params, seed int64, sched Schedule, name string) (*Observation, error)
 
-// traceRunner is the real runner: runOne, plus a per-run trace file when
-// dir is non-empty and the run is named.
+// traceRunner is the real runner: runOne, plus a trace file
+// <dir>/<name>.trace.json when dir is non-empty and the run is named.
 func traceRunner(dir string) runFunc {
 	return func(v press.Version, p Params, seed int64, sched Schedule, name string) (*Observation, error) {
-		if name == "" {
+		if dir == "" || name == "" {
 			return runOne(v, p, seed, sched, nil)
 		}
-		return runTraced(v, p, seed, sched, dir, name)
-	}
-}
-
-// ensureDir creates an output directory, wrapping the error chaos-style.
-func ensureDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("chaos: trace dir: %v", err)
-	}
-	return nil
-}
-
-// RunReport is the outcome of one schedule.
-type RunReport struct {
-	Index    int
-	Seed     int64
-	Schedule Schedule
-	Verdicts []Verdict
-	// Violations names the failed oracles (empty means all green).
-	Violations []string
-	// Repro is the shrunk, replayable artifact for a violated run
-	// (nil when the run passed).
-	Repro *Repro
-}
-
-// Report is a full campaign result.
-type Report struct {
-	Version      press.Version
-	Seed         int64
-	Params       Params
-	BaselineSeed int64
-	// BaselineTail is the no-fault throughput reference for the
-	// recovery oracle.
-	BaselineTail float64
-	Runs         []RunReport
-}
-
-// Violated counts the runs with at least one failed oracle.
-func (r *Report) Violated() int {
-	n := 0
-	for _, rr := range r.Runs {
-		if len(rr.Violations) > 0 {
-			n++
+		fs, err := trace.CreateFile(filepath.Join(dir, name+".trace.json"))
+		if err != nil {
+			return nil, err
 		}
-	}
-	return n
-}
-
-// FirstViolation returns the 1-based ordinal of the first violated run
-// (0 when the campaign stayed green) — the random-search side of the
-// guided-vs-random comparison metric.
-func (r *Report) FirstViolation() int {
-	for _, rr := range r.Runs {
-		if len(rr.Violations) > 0 {
-			return rr.Index + 1
+		obs, err := runOne(v, p, seed, sched, fs)
+		if cerr := fs.Close(); err == nil && cerr != nil {
+			return nil, fmt.Errorf("chaos: write trace file: %v", cerr)
 		}
+		return obs, err
 	}
-	return 0
 }
 
 // deriveSeed spreads one campaign seed over its runs: index 0 is the
-// baseline, 1..Runs the schedules. The multipliers are primes so
+// baseline, 1..Budget the schedules. The multipliers are primes so
 // neighbouring campaign seeds do not share run seeds.
 func deriveSeed(seed int64, i int) int64 {
 	return seed*1_000_003 + int64(i)*7919
@@ -120,102 +45,6 @@ func deriveSeed(seed int64, i int) int64 {
 // same kernel randomness under a different schedule (or vice versa)
 // never aliases.
 func scheduleSeed(runSeed int64) int64 { return runSeed ^ 0x5eedfa11 }
-
-// Run executes a campaign: a no-fault baseline, then Runs randomized
-// schedules fanned out over the worker pool, each judged by the oracle
-// suite. Runs that violate an invariant are shrunk to a minimal failing
-// schedule and packaged as a Repro. Same options, same report — at any
-// Parallel setting.
-func Run(opt Options, oracles []Oracle) (*Report, error) {
-	if opt.Runs <= 0 {
-		return nil, fmt.Errorf("chaos: campaign needs at least one run")
-	}
-	p := opt.Params
-	if p == (Params{}) {
-		p = DefaultParams()
-	}
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	if len(oracles) == 0 {
-		oracles = DefaultOracles()
-	}
-	runner := opt.runner
-	if runner == nil {
-		runner = traceRunner(opt.TraceDir)
-		if opt.TraceDir != "" {
-			if err := ensureDir(opt.TraceDir); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	v := opt.Version
-	nodes := quickConfig(v, p).Nodes
-	gen := p.gen(nodes)
-
-	baselineSeed := deriveSeed(opt.Seed, 0)
-	base, err := runner(v, p, baselineSeed, Schedule{}, "baseline")
-	if err != nil {
-		return nil, err
-	}
-	baselineTail := base.tail()
-
-	rep := &Report{
-		Version:      v,
-		Seed:         opt.Seed,
-		Params:       p,
-		BaselineSeed: baselineSeed,
-		BaselineTail: baselineTail,
-		Runs:         make([]RunReport, opt.Runs),
-	}
-
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var firstErr error
-	experiments.ForEach(opt.Runs, workers, func(i int) {
-		runSeed := deriveSeed(opt.Seed, i+1)
-		sched := Generate(scheduleSeed(runSeed), gen)
-		obs, err := runner(v, p, runSeed, sched, fmt.Sprintf("chaos_run%02d", i))
-		if err != nil {
-			// Generated schedules are valid by construction; an error
-			// here is a bug, not a finding.
-			panic(err)
-		}
-		obs.BaselineTail = baselineTail
-		verdicts := Judge(obs, oracles)
-		rr := RunReport{
-			Index:      i,
-			Seed:       runSeed,
-			Schedule:   sched,
-			Verdicts:   verdicts,
-			Violations: failures(verdicts),
-		}
-		if len(rr.Violations) > 0 {
-			rr.Repro = shrinkToRepro(runner, v, p, runSeed, baselineSeed, baselineTail, sched, rr.Violations, oracles)
-		}
-		rep.Runs[i] = rr
-	})
-	return rep, firstErr
-}
-
-// runTraced is runOne plus the optional per-run trace file.
-func runTraced(v press.Version, p Params, seed int64, sched Schedule, dir, name string) (*Observation, error) {
-	if dir == "" {
-		return runOne(v, p, seed, sched, nil)
-	}
-	fs, err := trace.CreateFile(filepath.Join(dir, name+".trace.json"))
-	if err != nil {
-		return nil, err
-	}
-	obs, err := runOne(v, p, seed, sched, fs)
-	if cerr := fs.Close(); err == nil && cerr != nil {
-		return nil, fmt.Errorf("chaos: write trace file: %v", cerr)
-	}
-	return obs, err
-}
 
 // shrinkToRepro delta-debugs a failing schedule down to a minimal one
 // that still fails at least one of the originally violated oracles, and
@@ -267,31 +96,6 @@ func shrinkToRepro(runner runFunc, v press.Version, p Params, runSeed, baselineS
 		ShrunkFrom:   len(sched.Faults),
 		ShrinkEvals:  evals,
 	}
-}
-
-// String renders the campaign as a per-run table with verdict summaries.
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos campaign: %s seed=%d runs=%d baseline=%.0f req/s\n",
-		r.Version, r.Seed, len(r.Runs), r.BaselineTail)
-	for _, rr := range r.Runs {
-		status := "ok"
-		if len(rr.Violations) > 0 {
-			status = "VIOLATED " + strings.Join(rr.Violations, ",")
-		}
-		fmt.Fprintf(&b, "  run %02d  %-8s  %s\n", rr.Index, status, rr.Schedule)
-		for _, vd := range rr.Verdicts {
-			if vd.Status == Fail {
-				fmt.Fprintf(&b, "          %s: %s\n", vd.Oracle, vd.Detail)
-			}
-		}
-		if rr.Repro != nil {
-			fmt.Fprintf(&b, "          shrunk %d -> %d fault(s) in %d re-runs: %s\n",
-				rr.Repro.ShrunkFrom, len(rr.Repro.Schedule.Faults), rr.Repro.ShrinkEvals, rr.Repro.Schedule)
-		}
-	}
-	fmt.Fprintf(&b, "  %d/%d runs violated an invariant\n", r.Violated(), len(r.Runs))
-	return b.String()
 }
 
 // RenderVerdicts formats a verdict list (used by cmd/chaos -replay).

@@ -41,18 +41,25 @@ func testParams() Params {
 	return p
 }
 
-// TestCampaignDeterministicAcrossParallel runs the same campaign twice,
-// serial vs 4 workers, and requires bit-identical reports and
-// byte-identical per-run trace files.
+// randomSearch configures a random-search campaign: a batch covering the
+// whole budget plans every run against the empty corpus.
+func randomSearch(v press.Version, seed int64, runs int, p Params) GuidedOptions {
+	return GuidedOptions{Version: v, Seed: seed, Budget: runs, Batch: runs, Params: p}
+}
+
+// TestCampaignDeterministicAcrossParallel runs the same random-search
+// campaign twice, serial vs 4 workers, and requires bit-identical reports
+// and byte-identical per-run trace files.
 func TestCampaignDeterministicAcrossParallel(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	opt := Options{Version: press.TCPPress, Seed: 2, Runs: testRuns(t), Parallel: 1, TraceDir: dirA, Params: testParams()}
-	repA, err := Run(opt, liteOracles())
+	opt := randomSearch(press.TCPPress, 2, testRuns(t), testParams())
+	opt.Parallel, opt.TraceDir = 1, dirA
+	repA, err := RunGuided(opt, liteOracles())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Parallel, opt.TraceDir = 4, dirB
-	repB, err := Run(opt, liteOracles())
+	repB, err := RunGuided(opt, liteOracles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +67,8 @@ func TestCampaignDeterministicAcrossParallel(t *testing.T) {
 		t.Fatalf("reports differ across Parallel settings:\n%s\nvs\n%s", repA, repB)
 	}
 	entries, err := os.ReadDir(dirA)
-	if err != nil || len(entries) != opt.Runs+1 {
-		t.Fatalf("trace dir: %d files, err %v (want %d)", len(entries), err, opt.Runs+1)
+	if err != nil || len(entries) != opt.Budget+1 {
+		t.Fatalf("trace dir: %d files, err %v (want %d)", len(entries), err, opt.Budget+1)
 	}
 	for _, e := range entries {
 		a, err := os.ReadFile(filepath.Join(dirA, e.Name()))
@@ -86,7 +93,7 @@ func TestCampaignOraclesGreen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run campaign; covered by make chaos-smoke")
 	}
-	rep, err := Run(Options{Version: press.TCPPressHB, Seed: 3, Runs: 4, Params: testParams()}, nil)
+	rep, err := RunGuided(randomSearch(press.TCPPressHB, 3, 4, testParams()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +119,7 @@ func TestFixtureViolationShrinksAndReplays(t *testing.T) {
 	// kernel-memory + memory-pinning + node-crash (see Generate; pinned
 	// by the assertions below rather than trusted).
 	oracles := append(DefaultOracles(), ForbidFault{T: faults.KernelMemory})
-	rep, err := Run(Options{Version: press.TCPPress, Seed: 1, Runs: 1, Params: testParams()}, oracles)
+	rep, err := RunGuided(randomSearch(press.TCPPress, 1, 1, testParams()), oracles)
 	if err != nil {
 		t.Fatal(err)
 	}

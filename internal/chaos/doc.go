@@ -25,13 +25,19 @@
 // Because every run is deterministic — the kernel, the workload and the
 // schedule all derive from one seed — a violated invariant is not a flaky
 // observation but an exact coordinate in the fault space. The engine
-// exploits that: Shrink delta-debugs the failing schedule (drop faults,
-// halve durations, re-run deterministically) down to a minimal failing
-// schedule, and the result is emitted as a JSON repro artifact that
-// `cmd/chaos -replay repro.json` reproduces exactly, byte-identical
-// trace included.
+// exploits that: Shrink delta-debugs the first failing schedule of each
+// distinct violation set (drop faults, halve durations, re-run
+// deterministically) down to a minimal failing schedule, and the result
+// is emitted as a JSON repro artifact that `cmd/chaos -replay
+// repro.json` reproduces exactly, byte-identical trace included.
 //
-// Campaigns fan out across experiments.ForEach workers; like the rest of
-// the simulation stack, results are bit-identical at any Parallel
-// setting.
+// Every campaign runs one search loop, RunGuided: a no-fault baseline,
+// then rounds that plan a batch of schedules against a corpus of runs
+// that lit new coverage bits, fan the batch out across
+// experiments.ForEach workers, and merge verdicts and coverage in slot
+// order. Random search is its one-round case: with Batch >= Budget every
+// schedule is planned against the empty corpus, so each is a fresh
+// Generate draw. Smaller batches let later rounds mutate corpus members
+// (coverage-guided search). Like the rest of the simulation stack,
+// results are bit-identical at any Parallel setting.
 package chaos

@@ -36,8 +36,7 @@ func TestEvictFarewellFixtureDetected(t *testing.T) {
 		{evictBugVersion, true},
 		{press.TCPPressHB, false},
 	} {
-		rep, err := Run(Options{Version: tc.v, Seed: 1, Runs: 1, Params: testParams()},
-			[]Oracle{evictSend{}})
+		rep, err := RunGuided(randomSearch(tc.v, 1, 1, testParams()), []Oracle{evictSend{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,8 +56,7 @@ func TestEvictFarewellShrinksAndReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shrink re-runs many simulations")
 	}
-	rep, err := Run(Options{Version: evictBugVersion, Seed: 1, Runs: 1, Params: testParams()},
-		DefaultOracles())
+	rep, err := RunGuided(randomSearch(evictBugVersion, 1, 1, testParams()), DefaultOracles())
 	if err != nil {
 		t.Fatal(err)
 	}

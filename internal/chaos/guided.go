@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 
@@ -32,18 +33,18 @@ func mutationSeed(runSeed int64) int64 { return runSeed ^ 0x6d757461 /* "muta" *
 // whole story; a handful lets "prefer novel mutants" actually bite.
 const mutateProposals = 4
 
-// GuidedOptions configures one coverage-guided chaos campaign.
+// GuidedOptions configures one chaos campaign.
 type GuidedOptions struct {
 	// Version is the PRESS version under test.
 	Version press.Version
 	// Seed makes the whole campaign deterministic — schedules, mutation
 	// draws, run seeds, corpus evolution and report all derive from it.
 	Seed int64
-	// Budget is the total number of fault-schedule runs (the same
-	// currency as the random campaign's Runs, for fair comparisons).
+	// Budget is the total number of fault-schedule runs.
 	Budget int
 	// Batch is the generation size (0 = DefaultBatch); candidates within
-	// a batch are planned against the same frozen corpus.
+	// a batch are planned against the same frozen corpus, so a Batch of
+	// at least Budget makes the campaign pure random search.
 	Batch int
 	// Parallel bounds concurrent runs within a batch (0 = GOMAXPROCS,
 	// 1 = serial); results are bit-identical at any setting.
@@ -52,7 +53,9 @@ type GuidedOptions struct {
 	// file per entry plus corpus_summary.txt. Side effect only.
 	CorpusDir string
 	// TraceDir, when non-empty, receives a Perfetto-loadable trace per
-	// run (guided_run<i>.trace.json plus baseline.trace.json).
+	// run, chaos_run<i>.trace.json with i the 0-based run index padded
+	// to at least two digits, plus baseline.trace.json. Side effect
+	// only: traces never feed back into verdicts.
 	TraceDir string
 	// Params fixes scale and timing; zero value means DefaultParams.
 	Params Params
@@ -61,7 +64,7 @@ type GuidedOptions struct {
 	runner runFunc
 }
 
-// GuidedRun is the outcome of one guided-search run.
+// GuidedRun is the outcome of one campaign run.
 type GuidedRun struct {
 	Index int
 	Round int
@@ -80,7 +83,7 @@ type GuidedRun struct {
 	Repro *Repro
 }
 
-// GuidedReport is a full guided-campaign result.
+// GuidedReport is a full campaign result.
 type GuidedReport struct {
 	Version      press.Version
 	Seed         int64
@@ -125,7 +128,7 @@ func (r *GuidedReport) CorpusSummary() string {
 		r.Corpus.Len(), r.Bits, r.Violated(), len(r.Runs), r.FirstViolation())
 }
 
-// RunGuided executes a coverage-guided campaign. Each round plans a
+// RunGuided executes a chaos campaign. Each round plans a
 // batch of candidate schedules serially against the frozen corpus —
 // fresh Generate draws while the corpus is empty (and at a small
 // exploration rate forever after), mutations of corpus members
@@ -135,10 +138,11 @@ func (r *GuidedReport) CorpusSummary() string {
 // signatures, corpus admissions and verdicts serially in slot order.
 // Planning never observes in-flight results, and merging never depends
 // on completion order, so the whole campaign is a pure function of
-// (options, oracles): bit-identical at any Parallel.
+// (options, oracles): bit-identical at any Parallel. A Batch of at least
+// Budget is random search: one round, every slot a fresh draw.
 func RunGuided(opt GuidedOptions, oracles []Oracle) (*GuidedReport, error) {
 	if opt.Budget <= 0 {
-		return nil, fmt.Errorf("chaos: guided campaign needs a positive run budget")
+		return nil, fmt.Errorf("chaos: campaign needs a positive run budget")
 	}
 	p := opt.Params
 	if p == (Params{}) {
@@ -158,8 +162,8 @@ func RunGuided(opt GuidedOptions, oracles []Oracle) (*GuidedReport, error) {
 	if runner == nil {
 		runner = traceRunner(opt.TraceDir)
 		if opt.TraceDir != "" {
-			if err := ensureDir(opt.TraceDir); err != nil {
-				return nil, err
+			if err := os.MkdirAll(opt.TraceDir, 0o755); err != nil {
+				return nil, fmt.Errorf("chaos: trace dir: %v", err)
 			}
 		}
 	}
@@ -246,7 +250,7 @@ func RunGuided(opt GuidedOptions, oracles []Oracle) (*GuidedReport, error) {
 		experiments.ForEach(n, workers, func(s int) {
 			idx := done + s
 			o, err := runner(v, p, cands[s].seed, cands[s].sched,
-				fmt.Sprintf("guided_run%03d", idx))
+				fmt.Sprintf("chaos_run%02d", idx))
 			if err != nil {
 				// Planned schedules are valid by construction; an error
 				// here is a bug, not a finding.
@@ -303,11 +307,11 @@ func RunGuided(opt GuidedOptions, oracles []Oracle) (*GuidedReport, error) {
 	return rep, nil
 }
 
-// String renders the guided campaign as a per-run table plus the corpus
+// String renders the campaign as a per-run table plus the corpus
 // summary line.
 func (r *GuidedReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos guided campaign: %s seed=%d budget=%d batch=%d baseline=%.0f req/s\n",
+	fmt.Fprintf(&b, "chaos campaign: %s seed=%d budget=%d batch=%d baseline=%.0f req/s\n",
 		r.Version, r.Seed, r.Budget, r.Batch, r.BaselineTail)
 	for _, gr := range r.Runs {
 		status := "ok"

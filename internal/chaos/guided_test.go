@@ -174,37 +174,38 @@ func TestGuidedRealRunsDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestGuidedFirstRoundMatchesRandom pins the fair-comparison property:
-// while the corpus is empty the guided search draws exactly the random
-// campaign's schedules (same run seeds, same Generate stream), so any
-// later difference is attributable to guidance, not to a different
-// random sequence.
+// TestGuidedFirstRoundMatchesRandom pins random search as the one-round
+// case of the search loop: while the corpus is empty every run is an
+// independent draw — run i gets seed deriveSeed(seed, i+1) and schedule
+// Generate(scheduleSeed(thatSeed), gen) — so a Batch >= Budget campaign
+// is pure random search, and any later difference in a guided campaign
+// is attributable to guidance, not to a different random sequence.
 func TestGuidedFirstRoundMatchesRandom(t *testing.T) {
 	p := pairParams()
-	guided, err := RunGuided(GuidedOptions{
-		Version: press.TCPPress, Seed: 7, Budget: 4, Batch: 8,
+	const seed, budget = 7, 4
+	rep, err := RunGuided(GuidedOptions{
+		Version: press.TCPPress, Seed: seed, Budget: budget, Batch: 8,
 		Params: p, runner: stubRun,
 	}, liteOracles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, err := Run(Options{
-		Version: press.TCPPress, Seed: 7, Runs: 4,
-		Params: p, runner: stubRun,
-	}, liteOracles())
-	if err != nil {
-		t.Fatal(err)
+	if len(rep.Runs) != budget {
+		t.Fatalf("%d runs, want %d", len(rep.Runs), budget)
 	}
-	for i := range guided.Runs {
-		if guided.Runs[i].Origin != "gen" {
-			t.Fatalf("run %d origin %q before any corpus exists", i, guided.Runs[i].Origin)
+	gen := p.gen(quickConfig(press.TCPPress, p).Nodes)
+	for i, gr := range rep.Runs {
+		wantSeed := deriveSeed(seed, i+1)
+		want := Generate(scheduleSeed(wantSeed), gen)
+		if gr.Origin != "gen" {
+			t.Fatalf("run %d origin %q before any corpus exists", i, gr.Origin)
 		}
-		if guided.Runs[i].Seed != random.Runs[i].Seed {
-			t.Fatalf("run %d seeds diverge: %d vs %d", i, guided.Runs[i].Seed, random.Runs[i].Seed)
+		if gr.Seed != wantSeed {
+			t.Fatalf("run %d seed %d, want %d", i, gr.Seed, wantSeed)
 		}
-		if guided.Runs[i].Schedule.Key() != random.Runs[i].Schedule.Key() {
-			t.Fatalf("run %d schedules diverge:\n  %s\n  %s",
-				i, guided.Runs[i].Schedule, random.Runs[i].Schedule)
+		if gr.Schedule.Key() != want.Key() {
+			t.Fatalf("run %d schedule diverges from the independent draw:\n  %s\n  %s",
+				i, gr.Schedule, want)
 		}
 	}
 }
@@ -242,10 +243,9 @@ func TestGuidedBeatsRandomOnSeededPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		g = append(g, grep.FirstViolation())
-		rrep, err := Run(Options{
-			Version: press.TCPPress, Seed: seed, Runs: budget,
-			Params: p, runner: stubRun,
-		}, oracles)
+		ropt := randomSearch(press.TCPPress, seed, budget, p)
+		ropt.runner = stubRun
+		rrep, err := RunGuided(ropt, oracles)
 		if err != nil {
 			t.Fatal(err)
 		}

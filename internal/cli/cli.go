@@ -197,7 +197,7 @@ func NewChaosFlags() *ChaosFlags {
 	return &ChaosFlags{
 		Version:   VersionFlag("TCP-PRESS"),
 		Seed:      SeedFlag(),
-		Runs:      flag.Int("runs", 8, "number of randomized fault schedules to run (the run budget with -coverage)"),
+		Runs:      flag.Int("runs", 8, "run budget: number of fault schedules to run"),
 		Budget:    flag.Int("budget", 0, "maximum faults per schedule (0 = default)"),
 		Parallel:  ParallelFlag(),
 		Full:      flag.Bool("full", false, "paper-scale deployment (slower)"),
@@ -214,9 +214,9 @@ func NewChaosFlags() *ChaosFlags {
 		BreakPair: flag.String("break-pair", "",
 			"arm the fixture oracle that forbids injecting both faults of this pair, e.g. kernel-memory+link-down (the guided search's seeded violation)"),
 		Replay:   flag.String("replay", "", "replay a repro artifact instead of running a campaign"),
-		Coverage: flag.Bool("coverage", false, "coverage-guided schedule search: mutate a corpus of interesting schedules instead of pure random draws"),
+		Coverage: flag.Bool("coverage", false, "coverage-guided schedule search in rounds of -batch: mutate a corpus of interesting schedules (off: one round of -runs random draws)"),
 		Batch:    flag.Int("batch", 0, "guided-search generation size: schedules planned per round against the frozen corpus (0 = default)"),
-		Corpus:   flag.String("corpus", "", "directory for the guided search's final corpus (one JSON per entry + corpus_summary.txt)"),
+		Corpus:   flag.String("corpus", "", "directory for the campaign's final corpus (one JSON per entry + corpus_summary.txt)"),
 		Soak:     flag.Bool("soak", false, "long-horizon soak: chain schedules back-to-back on one surviving kernel, judging invariants at every cycle boundary"),
 		Cycles:   flag.Int("cycles", 4, "soak fault cycles after the fault-free baseline cycle"),
 	}

@@ -25,21 +25,34 @@ var updateGolden = flag.Bool("update", false,
 //
 // and justify the diff in review.
 //
-// The full matrix is about 70 s of wall time on a 2-core box and far more
-// on a slow or race-instrumented one, so the test sizes itself against
-// the binary's deadline and skips when it may not finish: it runs under
-// `make golden` (part of `make ci`) or any invocation with a -timeout of
-// 30 minutes or more, and stays out of the tier-1 `go test ./...` path.
+// The full matrix takes one to five minutes of wall time on a 2-core box,
+// depending on what else the box runs, and far more on a race-instrumented
+// build, so the test sizes itself against the binary's deadline and skips
+// when it may not finish. It needs 5 minutes left, so it runs under go
+// test's default 10-minute -timeout (the tier-1 `go test ./...` path) and
+// `make golden`, and skips under -short or a shorter -timeout. It also
+// times Table 1 and skips if the campaign, projected from that time, would
+// overrun the deadline: a skip leaves the package's other tests standing,
+// a timeout fails them all.
 func TestGoldenSeed1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-scale campaign: minutes of wall time")
 	}
-	const need = 30 * time.Minute
-	if dl, ok := t.Deadline(); ok && time.Until(dl) < need {
+	const need = 5 * time.Minute
+	dl, hasDeadline := t.Deadline()
+	if hasDeadline && time.Until(dl) < need {
 		t.Skipf("needs a -timeout of ~%v (have %v); run via make golden", need, time.Until(dl).Round(time.Minute))
 	}
 	opt := Quick()
-	got := RenderTable1(Table1(opt)) + "\n" + RenderTable2(RunCampaign(opt))
+	start := time.Now()
+	table1 := RenderTable1(Table1(opt))
+	// The campaign costs about 12 Table-1 passes; 15 leaves room for the
+	// package's tests that run after this one.
+	if project := 15 * time.Since(start); hasDeadline && time.Until(dl) < project {
+		t.Skipf("campaign projected at ~%v from Table 1, %v left; run via make golden",
+			project.Round(time.Second), time.Until(dl).Round(time.Second))
+	}
+	got := table1 + "\n" + RenderTable2(RunCampaign(opt))
 
 	path := filepath.Join("testdata", "golden_seed1.txt")
 	if *updateGolden {
