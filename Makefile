@@ -1,10 +1,12 @@
 # Tier-1 verification and CI targets. `make verify` is the gate every
-# change must pass; `make ci` adds vet, the race detector over the
-# packages with concurrency (the parallel campaign engine and the
-# simulation kernel it fans out), and the golden behaviour-preservation
-# test that pins Table 1 + the campaign matrix byte-for-byte.
+# change must pass; `make ci` adds vet (with a gofmt check), the race
+# detector over the packages with concurrency (the parallel campaign
+# engine and the simulation kernel it fans out), and the golden
+# behaviour-preservation test that pins Table 1 + the campaign matrix
+# byte-for-byte.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-test bench-json ci bench-campaign
 
@@ -20,8 +22,11 @@ test:
 # tests (arch_test.go) that keep tcpsim/viasim behind internal/substrate.
 verify: build test
 
+# vet also gates formatting: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # The campaign engine runs experiments concurrently; keep it race-clean.
 # The race detector slows the simulations ~10x, so the CI leg runs -short

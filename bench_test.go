@@ -242,9 +242,9 @@ func BenchmarkAblationPreallocation(b *testing.B) {
 			var avail float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchOpt.Config(press.VIAPress0)
-				vo := cfg.Substrate.Opts.(subvia.Options)
+				vo := cfg.Substrate.(subvia.Options)
 				vo.Config.DynamicBuffers = dynamic
-				cfg.Substrate = subvia.Spec(vo)
+				cfg.Substrate = vo
 				avail = kernelMemoryAvailability(cfg)
 			}
 			b.ReportMetric(avail, "availability")

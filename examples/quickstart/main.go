@@ -11,48 +11,47 @@ import (
 	"math/rand"
 	"time"
 
-	"vivo/internal/metrics"
+	"vivo/internal/obs"
 	"vivo/internal/press"
-	"vivo/internal/sim"
 	"vivo/internal/workload"
 )
 
 func main() {
-	// The simulation kernel owns virtual time and all randomness.
-	k := sim.New(42)
-
 	// A paper-testbed configuration: 4 nodes, 1 Gb/s SAN, 128 MiB file
 	// cache per node, VIA with remote writes and zero-copy.
 	cfg := press.DefaultConfig(press.VIAPress5)
 
-	// The deployment wires hardware, OS models, the communication
-	// substrate, restart daemons and the PRESS processes together.
-	rec := metrics.NewRecorder(k, time.Second)
-	d := press.NewDeployment(k, cfg)
-	d.Start()
-	d.WarmStart() // prepopulate caches: skip the disk-bound warmup
+	// One run as a value. The harness builds the simulation kernel (which
+	// owns virtual time and all randomness) and the deployment (hardware,
+	// OS models, the communication substrate, restart daemons and the
+	// PRESS processes), warms the caches to skip the disk-bound warmup,
+	// then starts the clients: Poisson arrivals over a Zipf document
+	// trace with round-robin DNS and the paper's 2 s / 6 s timeouts.
+	h := obs.Harness{
+		Seed:   42,
+		Config: cfg,
+		Rate:   6500,
+		Sampler: workload.NewTrace(workload.TraceConfig{
+			Files:    cfg.WorkingSetFiles,
+			FileSize: int(cfg.FileSize),
+			ZipfS:    1.2,
+		}, rand.New(rand.NewSource(7))),
+		LoadFor: 60 * time.Second, // one simulated minute
+	}
 
-	// Clients: Poisson arrivals over a Zipf document trace with
-	// round-robin DNS and the paper's 2 s / 6 s timeouts.
-	trace := workload.NewTrace(workload.TraceConfig{
-		Files:    cfg.WorkingSetFiles,
-		FileSize: int(cfg.FileSize),
-		ZipfS:    1.2,
-	}, rand.New(rand.NewSource(7)))
-	clients := workload.NewClients(k, workload.DefaultClients(6500, cfg.Nodes), trace, d, rec)
-	clients.Start()
-
-	// Run one simulated minute.
 	wall := time.Now()
-	k.Run(60 * time.Second)
+	run, err := h.Run()
+	if err != nil {
+		panic(err)
+	}
 
-	served, failed := rec.Totals()
+	served, failed := run.Rec.Totals()
 	fmt.Printf("simulated 60s in %v wall time (%d events)\n",
-		time.Since(wall).Round(time.Millisecond), k.Steps())
+		time.Since(wall).Round(time.Millisecond), run.K.Steps())
 	fmt.Printf("version:      %s\n", cfg.Version)
 	fmt.Printf("served:       %d requests (%.0f req/s)\n", served, float64(served)/60)
 	fmt.Printf("failed:       %d requests\n", failed)
-	fmt.Printf("availability: %.4f\n", rec.Availability())
+	fmt.Printf("availability: %.4f\n", run.Rec.Availability())
 	fmt.Printf("paper Table 1 capacity for this version: %.0f req/s\n",
 		press.Table1Throughput(cfg.Version))
 }

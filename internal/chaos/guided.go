@@ -169,7 +169,7 @@ func RunGuided(opt GuidedOptions, oracles []Oracle) (*GuidedReport, error) {
 	}
 
 	v := opt.Version
-	gen := p.gen(quickConfig(v, p).Nodes)
+	gen := p.gen(experiments.Options{FullScale: p.FullScale}.Config(v).Nodes)
 
 	baselineSeed := deriveSeed(opt.Seed, 0)
 	base, err := runner(v, p, baselineSeed, Schedule{}, "baseline")

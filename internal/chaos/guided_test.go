@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vivo/internal/experiments"
 	"vivo/internal/faults"
 	"vivo/internal/metrics"
 	"vivo/internal/press"
@@ -193,7 +194,7 @@ func TestGuidedFirstRoundMatchesRandom(t *testing.T) {
 	if len(rep.Runs) != budget {
 		t.Fatalf("%d runs, want %d", len(rep.Runs), budget)
 	}
-	gen := p.gen(quickConfig(press.TCPPress, p).Nodes)
+	gen := p.gen(experiments.Options{FullScale: p.FullScale}.Config(press.TCPPress).Nodes)
 	for i, gr := range rep.Runs {
 		wantSeed := deriveSeed(seed, i+1)
 		want := Generate(scheduleSeed(wantSeed), gen)

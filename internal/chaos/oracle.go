@@ -60,17 +60,6 @@ func DefaultOracles() []Oracle {
 	}
 }
 
-// OracleByName resolves a default-suite oracle name (used by cmd/chaos
-// -replay to re-judge with the suite recorded in the artifact).
-func OracleByName(name string) (Oracle, bool) {
-	for _, o := range DefaultOracles() {
-		if o.Name() == name {
-			return o, true
-		}
-	}
-	return nil, false
-}
-
 // Judge runs every oracle over the observation.
 func Judge(o *Observation, oracles []Oracle) []Verdict {
 	out := make([]Verdict, len(oracles))

@@ -187,13 +187,13 @@ func TestRecoverableTable(t *testing.T) {
 		t    faults.Type
 		want bool
 	}{
-		{press.TCPPress, faults.LinkDown, true},     // blind TCP stalls and resumes
-		{press.TCPPressHB, faults.LinkDown, false},  // detects, evicts, never remerges (§5.2)
-		{press.RobustPress, faults.LinkDown, true},  // remerge ablation on
-		{press.TCPPress, faults.AppCrash, false},    // restart loses the cache
-		{press.VIAPress0, faults.KernelMemory, true},  // user-level bypasses kernel buffers
+		{press.TCPPress, faults.LinkDown, true},      // blind TCP stalls and resumes
+		{press.TCPPressHB, faults.LinkDown, false},   // detects, evicts, never remerges (§5.2)
+		{press.RobustPress, faults.LinkDown, true},   // remerge ablation on
+		{press.TCPPress, faults.AppCrash, false},     // restart loses the cache
+		{press.VIAPress0, faults.KernelMemory, true}, // user-level bypasses kernel buffers
 		{press.TCPPress, faults.KernelMemory, false},
-		{press.TCPPress, faults.MemoryPinning, true},  // no pinned cache
+		{press.TCPPress, faults.MemoryPinning, true},   // no pinned cache
 		{press.VIAPress5, faults.MemoryPinning, false}, // sheds the zero-copy cache
 	}
 	for _, c := range cases {

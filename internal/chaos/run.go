@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"vivo/internal/experiments"
 	"vivo/internal/metrics"
 	"vivo/internal/obs"
 	"vivo/internal/press"
@@ -215,7 +216,7 @@ func runOne(v press.Version, p Params, seed int64, sched Schedule, extra trace.S
 	horizon := p.horizon()
 	h := obs.Harness{
 		Seed:    seed,
-		Config:  quickConfig(v, p),
+		Config:  experiments.Options{FullScale: p.FullScale}.Config(v),
 		Rate:    p.LoadFraction * press.Table1Throughput(v),
 		Faults:  specs,
 		LoadFor: horizon,
@@ -228,41 +229,29 @@ func runOne(v press.Version, p Params, seed int64, sched Schedule, extra trace.S
 		return nil, fmt.Errorf("chaos: bad schedule: %v", err)
 	}
 
-	served, failed := run.Rec.Totals()
-	return &Observation{
-		Version:   v,
-		Seed:      seed,
-		Schedule:  sched,
-		P:         p,
-		Horizon:   horizon,
-		Issued:    run.Clients.Issued(),
-		Unsettled: run.Clients.Unsettled(),
-		Served:    served,
-		Failed:    failed,
-		Outcomes: map[metrics.Outcome]int64{
-			metrics.Served:         run.Rec.OutcomeCount(metrics.Served),
-			metrics.ConnectTimeout: run.Rec.OutcomeCount(metrics.ConnectTimeout),
-			metrics.RequestTimeout: run.Rec.OutcomeCount(metrics.RequestTimeout),
-			metrics.Refused:        run.Rec.OutcomeCount(metrics.Refused),
-		},
-		Timeline:  run.Rec.Timeline(),
-		Events:    events.Events,
-		Inventory: run.Deployment.Inventory(),
-	}, nil
+	return observe(Observation{Version: v, Seed: seed, Schedule: sched, P: p, Horizon: horizon}, run, events), nil
+}
+
+// observe completes o from a finished harness run: the drained client
+// counters, the recorder totals and their per-outcome decomposition, the
+// timeline, the event log and the final inventory.
+func observe(o Observation, run *obs.Run, events *obs.EventLog) *Observation {
+	o.Issued = run.Clients.Issued()
+	o.Unsettled = run.Clients.Unsettled()
+	o.Served, o.Failed = run.Rec.Totals()
+	o.Outcomes = map[metrics.Outcome]int64{
+		metrics.Served:         run.Rec.OutcomeCount(metrics.Served),
+		metrics.ConnectTimeout: run.Rec.OutcomeCount(metrics.ConnectTimeout),
+		metrics.RequestTimeout: run.Rec.OutcomeCount(metrics.RequestTimeout),
+		metrics.Refused:        run.Rec.OutcomeCount(metrics.Refused),
+	}
+	o.Timeline = run.Rec.Timeline()
+	o.Events = events.Events
+	o.Inventory = run.Deployment.Inventory()
+	return &o
 }
 
 // tail returns the run's mean throughput over the recovery-tail window.
 func (o *Observation) tail() float64 {
 	return o.Timeline.MeanThroughput(o.Horizon-recoveryTail, o.Horizon)
-}
-
-// quickConfig mirrors experiments.Options.Config: paper scale or the
-// proportionally shrunk quick scale.
-func quickConfig(v press.Version, p Params) press.Config {
-	cfg := press.DefaultConfig(v)
-	if !p.FullScale {
-		cfg.WorkingSetFiles = 9500
-		cfg.CacheBytes = 16 << 20
-	}
-	return cfg
 }

@@ -94,20 +94,6 @@ func (s Schedule) String() string {
 // evaluations (the same candidate schedule is never re-run twice).
 func (s Schedule) Key() string { return s.String() }
 
-// LastHeal returns the time the final fault is healed: At for
-// instantaneous faults, At+Dur otherwise. The recovery oracle's
-// stabilization window starts here.
-func (s Schedule) LastHeal() time.Duration {
-	var last time.Duration
-	for _, f := range s.Faults {
-		h := f.At + f.Dur
-		if h > last {
-			last = h
-		}
-	}
-	return last
-}
-
 // SubsetOf reports whether every fault of s appears in t (as a
 // multiset of identical entries). The shrinker only ever removes faults
 // or shortens durations, so a shrunk schedule with equal length and

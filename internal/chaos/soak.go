@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"vivo/internal/metrics"
+	"vivo/internal/experiments"
 	"vivo/internal/obs"
 	"vivo/internal/press"
 	"vivo/internal/sim"
@@ -109,7 +109,7 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 	}
 
 	v := opt.Version
-	cfg := quickConfig(v, p)
+	cfg := experiments.Options{FullScale: p.FullScale}.Config(v)
 	gen := p.gen(cfg.Nodes)
 	cycleLen := p.horizon()
 	total := time.Duration(opt.Cycles+1) * cycleLen
@@ -201,29 +201,15 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 	// Final judgement: the whole run as one observation, under the
 	// oracles whose invariants span it — conservation and liveness need
 	// the drained counters, the trace folds re-check the complete log.
-	served, failed := run.Rec.Totals()
-	final := &Observation{
+	final := observe(Observation{
 		Version: v,
 		Seed:    opt.Seed,
 		// The union schedule exists only for rendering; the per-cycle
 		// verdicts already judged each schedule in context.
-		Schedule:  unionSchedule(scheds),
-		P:         p,
-		Horizon:   total,
-		Issued:    run.Clients.Issued(),
-		Unsettled: run.Clients.Unsettled(),
-		Served:    served,
-		Failed:    failed,
-		Outcomes: map[metrics.Outcome]int64{
-			metrics.Served:         run.Rec.OutcomeCount(metrics.Served),
-			metrics.ConnectTimeout: run.Rec.OutcomeCount(metrics.ConnectTimeout),
-			metrics.RequestTimeout: run.Rec.OutcomeCount(metrics.RequestTimeout),
-			metrics.Refused:        run.Rec.OutcomeCount(metrics.Refused),
-		},
-		Timeline:  run.Rec.Timeline(),
-		Events:    events.Events,
-		Inventory: run.Deployment.Inventory(),
-	}
+		Schedule: unionSchedule(scheds),
+		P:        p,
+		Horizon:  total,
+	}, run, events)
 	finalSuite := []Oracle{conservation{}, liveness{}, wellFormed{}, evictSend{}, crashAdmit{}}
 	rep.Final = Judge(final, finalSuite)
 	rep.FinalViolations = failures(rep.Final)

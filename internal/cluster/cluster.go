@@ -182,11 +182,6 @@ func (n *Node) RegisterProto(name string, h func(Packet)) {
 	n.protos[name] = h
 }
 
-// UnregisterProto removes a protocol handler.
-func (n *Node) UnregisterProto(name string) {
-	delete(n.protos, name)
-}
-
 // OnCrash registers a callback invoked when the node crashes (power loss /
 // hard reboot start). Used by the OS model to discard kernel state and by
 // protocol stacks to break connections.

@@ -72,17 +72,6 @@ func (c FaultClass) String() string {
 	}
 }
 
-// IsApplication reports whether the class belongs to the application fault
-// category whose overall rate the paper sweeps from once per day to once
-// per month.
-func (c FaultClass) IsApplication() bool {
-	switch c {
-	case ProcCrash, ProcHang, BadNull, BadOffPtr, BadOffSize:
-		return true
-	}
-	return false
-}
-
 // AppFaultShare is the division of the overall application fault rate
 // across error classes, following the distribution the paper takes from
 // Chillarege et al.: process crash 40%, process hang 40%, null pointer 8%,

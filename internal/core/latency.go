@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"vivo/internal/latency"
-	"vivo/internal/sim"
 )
 
 // StageLatencies is the latency side of the 7-stage extraction: the
@@ -67,15 +66,4 @@ func (sl StageLatencies) String() string {
 		fmt.Fprintf(&b, "  stage %s:   %s\n", s, sl.Q[s])
 	}
 	return b.String()
-}
-
-// StageWindow exposes the window bounds used for each stage so callers
-// (e.g. figure renderers) can annotate timelines; ok is false for stages
-// that do not exist in this run.
-func StageWindow(obs RunObservation, s Stage) (from, to sim.Time, ok bool) {
-	w := StageWindows(obs)
-	if s < 0 || s >= NumStages || !w.Valid[s] {
-		return 0, 0, false
-	}
-	return w.Stage[s].From, w.Stage[s].To, true
 }

@@ -82,20 +82,6 @@ func TestStageWindowsTile(t *testing.T) {
 	}
 }
 
-func TestStageWindowAccessorAgrees(t *testing.T) {
-	obs := detectedObs()
-	w := StageWindows(obs)
-	for s := StageA; s < NumStages; s++ {
-		from, to, ok := StageWindow(obs, s)
-		if ok != w.Valid[s] {
-			t.Fatalf("stage %s: ok=%v, Valid=%v", s, ok, w.Valid[s])
-		}
-		if ok && (from != w.Stage[s].From || to != w.Stage[s].To) {
-			t.Fatalf("stage %s: [%v,%v) vs %+v", s, from, to, w.Stage[s])
-		}
-	}
-}
-
 func TestStageWindowsInstantaneous(t *testing.T) {
 	tl := makeTimeline(100, func(s int) int {
 		switch {

@@ -264,8 +264,6 @@ func Figure10(c *Campaign) []ScenarioRow {
 		m := c.Model(v, load)
 		if v.UsesVIA() {
 			// Added application rate: base 1/month plus 1/2 weeks.
-			combined := 1/baseAppRate() + 0 // placeholder for clarity
-			_ = combined
 			addRate := 1.0/core.Month.Hours() + 1.0/(2*core.Week).Hours()
 			appMTTF := time.Duration(float64(time.Hour) / addRate)
 			m = c.Model(v, load.WithAppMTTF(appMTTF))
@@ -288,8 +286,6 @@ func Figure10(c *Campaign) []ScenarioRow {
 	}
 	return rows
 }
-
-func baseAppRate() float64 { return 1.0 / core.Month.Hours() }
 
 // RenderScenario formats scenario rows grouped by setting.
 func RenderScenario(title string, rows []ScenarioRow) string {

@@ -3,8 +3,6 @@ package metrics
 import (
 	"fmt"
 	"strings"
-
-	"vivo/internal/sim"
 )
 
 // Plot renders the timeline as an ASCII chart in the style of the paper's
@@ -92,23 +90,4 @@ func (tl Timeline) Plot(height, width int) string {
 	fmt.Fprintf(&b, "%8s  0s%*s\n", "", width-2, fmtDur(tl.End()))
 	fmt.Fprintf(&b, "%8s  (F = fault injected, R = component repaired)\n", "")
 	return b.String()
-}
-
-// PlotAround is Plot restricted to the window [from, to).
-func (tl Timeline) PlotAround(from, to sim.Time, height, width int) string {
-	var cut Timeline
-	cut.Bin = tl.Bin
-	for _, p := range tl.Points {
-		if p.At >= from && p.At < to {
-			q := p
-			q.At -= from
-			cut.Points = append(cut.Points, q)
-		}
-	}
-	for _, m := range tl.Marks {
-		if m.At >= from && m.At < to {
-			cut.Marks = append(cut.Marks, Mark{At: m.At - from, Label: m.Label})
-		}
-	}
-	return cut.Plot(height, width)
 }

@@ -63,24 +63,6 @@ func TestPlotEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestPlotAroundWindows(t *testing.T) {
-	tl := plotFixture(t, func(s int) int { return s }, 30)
-	p := tl.PlotAround(10*time.Second, 20*time.Second, 4, 10)
-	axis := ""
-	for _, line := range strings.Split(p, "\n") {
-		if strings.Contains(line, "+") {
-			axis = line
-			break
-		}
-	}
-	if !strings.Contains(axis, "F") {
-		t.Fatalf("mark inside window missing from axis %q:\n%s", axis, p)
-	}
-	if strings.Contains(axis, "R") {
-		t.Fatalf("mark outside window leaked into axis %q:\n%s", axis, p)
-	}
-}
-
 func TestPlotWidthNotExceedingBins(t *testing.T) {
 	tl := plotFixture(t, func(int) int { return 10 }, 5)
 	p := tl.Plot(3, 100) // wider than the data

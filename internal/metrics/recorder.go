@@ -185,52 +185,6 @@ func (tl Timeline) MeanThroughput(from, to sim.Time) float64 {
 	return sum / float64(n)
 }
 
-// MinThroughput returns the smallest per-bin throughput in [from, to).
-func (tl Timeline) MinThroughput(from, to sim.Time) float64 {
-	min, seen := 0.0, false
-	for _, p := range tl.Points {
-		if p.At >= from && p.At < to {
-			if !seen || p.Throughput < min {
-				min, seen = p.Throughput, true
-			}
-		}
-	}
-	return min
-}
-
-// StableAfter scans forward from t and returns the first time at which the
-// throughput stays within tol (a fraction, e.g. 0.1) of the mean of the
-// following window bins. It is used to find the end of the transient stages
-// (B, D and G in the 7-stage model). If no stable point is found it returns
-// the end of the timeline.
-func (tl Timeline) StableAfter(t sim.Time, window int, tol float64) sim.Time {
-	if window <= 0 {
-		window = 5
-	}
-	start := 0
-	for start < len(tl.Points) && tl.Points[start].At < t {
-		start++
-	}
-	for i := start; i+window <= len(tl.Points); i++ {
-		mean := 0.0
-		for j := i; j < i+window; j++ {
-			mean += tl.Points[j].Throughput
-		}
-		mean /= float64(window)
-		ok := true
-		for j := i; j < i+window; j++ {
-			if diff := tl.Points[j].Throughput - mean; diff > tol*mean+1 || diff < -(tol*mean+1) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return tl.Points[i].At
-		}
-	}
-	return tl.End()
-}
-
 // End returns the time just past the last bin.
 func (tl Timeline) End() sim.Time {
 	return time.Duration(len(tl.Points)) * tl.Bin

@@ -89,50 +89,8 @@ func TestMeanAndMinThroughput(t *testing.T) {
 	if got := tl.MeanThroughput(5*time.Second, 10*time.Second); got != 2 {
 		t.Fatalf("mean second half = %v, want 2", got)
 	}
-	if got := tl.MinThroughput(0, 10*time.Second); got != 2 {
-		t.Fatalf("min = %v, want 2", got)
-	}
 	if got := tl.MeanThroughput(20*time.Second, 30*time.Second); got != 0 {
 		t.Fatalf("mean of empty window = %v, want 0", got)
-	}
-}
-
-func TestStableAfterFindsPlateau(t *testing.T) {
-	k := sim.New(1)
-	r := NewRecorder(k, time.Second)
-	// Ramp 1..5 then plateau at 10.
-	rate := func(s int) int {
-		if s < 5 {
-			return s + 1
-		}
-		return 10
-	}
-	for s := 0; s < 20; s++ {
-		for i := 0; i < rate(s); i++ {
-			at := time.Duration(s)*time.Second + time.Duration(i)*time.Millisecond
-			k.At(at, func() { r.Record(Served) })
-		}
-	}
-	k.RunAll()
-	tl := r.Timeline()
-	if got := tl.StableAfter(0, 5, 0.05); got != 5*time.Second {
-		t.Fatalf("StableAfter = %v, want 5s", got)
-	}
-}
-
-func TestStableAfterNoPlateauReturnsEnd(t *testing.T) {
-	k := sim.New(1)
-	r := NewRecorder(k, time.Second)
-	for s := 0; s < 10; s++ {
-		for i := 0; i < (s+1)*(s+1); i++ { // strictly accelerating
-			at := time.Duration(s)*time.Second + time.Duration(i)*time.Microsecond
-			k.At(at, func() { r.Record(Served) })
-		}
-	}
-	k.RunAll()
-	tl := r.Timeline()
-	if got := tl.StableAfter(0, 5, 0.01); got != tl.End() {
-		t.Fatalf("StableAfter = %v, want End() %v", got, tl.End())
 	}
 }
 

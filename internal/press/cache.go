@@ -47,9 +47,6 @@ func NewCache(capacityBytes, fileSize int64, pinOS *osmodel.OS) *Cache {
 // Len returns the number of cached files.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// CapacityFiles returns the configured maximum.
-func (c *Cache) CapacityFiles() int { return c.capacityFiles }
-
 // Contains reports whether file is cached, without touching recency.
 func (c *Cache) Contains(file int) bool {
 	_, ok := c.entries[file]

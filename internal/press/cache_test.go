@@ -8,6 +8,7 @@ import (
 	"vivo/internal/cluster"
 	"vivo/internal/osmodel"
 	"vivo/internal/sim"
+	subvia "vivo/internal/substrate/via"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -206,7 +207,8 @@ func TestVersionFlags(t *testing.T) {
 		{VIAPress5, true, true, true, false, "VIA-PRESS-5"},
 	}
 	for _, c := range cases {
-		if c.v.UsesVIA() != c.via || c.v.RemoteWrites() != c.rdma ||
+		vo, _ := c.v.Spec().Substrate.(subvia.Options)
+		if c.v.UsesVIA() != c.via || vo.RemoteWrites != c.rdma ||
 			c.v.ZeroCopy() != c.zc || c.v.Heartbeats() != c.hb || c.v.String() != c.name {
 			t.Errorf("%v flags wrong", c.v)
 		}

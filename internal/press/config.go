@@ -64,9 +64,8 @@ type Config struct {
 	// Hardware configures the simulated cluster fabric.
 	Hardware cluster.Config
 
-	// Substrate selects the registered communication layer carrying
-	// intra-cluster traffic; the zero value means the version's
-	// registered default (Version.Spec().Substrate).
+	// Substrate is the communication layer carrying intra-cluster
+	// traffic; nil means the version's default (Version.Spec().Substrate).
 	Substrate substrate.Spec
 }
 

@@ -46,7 +46,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	if cfg.Costs == (CostModel{}) {
 		cfg.Costs = Costs(cfg.Version)
 	}
-	if cfg.Substrate.Name == "" {
+	if cfg.Substrate == nil {
 		cfg.Substrate = cfg.Version.Spec().Substrate
 	}
 	d := &Deployment{
@@ -61,13 +61,9 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		os := osmodel.New(k, node, cfg.PinLimit)
 		d.OS = append(d.OS, os)
 		d.Disks = append(d.Disks, NewDisk(k, cfg.DiskSpindles, cfg.DiskService))
-		tr, err := substrate.New(cfg.Substrate.Name, substrate.NodeEnv{
+		d.transports = append(d.transports, cfg.Substrate.NewTransport(substrate.NodeEnv{
 			K: k, HW: d.HW, Node: node, OS: os,
-		}, cfg.Substrate.Opts)
-		if err != nil {
-			panic(fmt.Sprintf("press: node %d: %v", i, err))
-		}
-		d.transports = append(d.transports, tr)
+		}))
 		d.installDaemon(i)
 	}
 	return d

@@ -48,9 +48,9 @@
 // # Versions
 //
 // A [Version] is an index into a registry of [VersionSpec] values — pure
-// data naming a substrate ([substrate.Spec]), flow-control and join
-// policies, detection and zero-copy flags, the cost model and the Table-1
-// calibration target. [Register] adds a new version; no server code needs
+// data: the substrate (a [substrate.Spec] value that builds each node's
+// transport), flow-control and join policies, detection and zero-copy
+// flags, the cost model and the Table-1 calibration target. [Register] adds a new version; no server code needs
 // to change (version_robust.go registers ROBUST-PRESS this way).
 //
 // The built-ins: [TCPPress] (kernel TCP), [TCPPressHB] (adds heartbeats),
@@ -72,8 +72,9 @@
 //	d.WarmStart()                      // prepopulate caches
 //	k.Run(60 * time.Second)            // one simulated minute
 //
-// Drive it with the workload package (see examples/quickstart) or measure
-// its saturation throughput directly with [MeasureThroughput]. The fault
+// Drive it with the workload package, run the whole sequence as one
+// internal/obs Harness value (see examples/quickstart), or measure its
+// saturation throughput directly with [MeasureThroughput]. The fault
 // experiments of internal/experiments inject faults into a live
 // deployment via internal/faults and read reactions off the metrics
 // recorder.

@@ -2,7 +2,6 @@ package press
 
 import (
 	"errors"
-	"fmt"
 
 	"vivo/internal/comm"
 	"vivo/internal/trace"
@@ -29,8 +28,6 @@ type sendEngine interface {
 	// reset clears all queues and releases any blocked CPU on process
 	// teardown.
 	reset()
-	// queueDebug summarises queue state for DebugState.
-	queueDebug() string
 }
 
 func newSendEngine(s *Server, fc FlowControl) sendEngine {
@@ -150,10 +147,6 @@ func (e *blockingSends) reset() {
 		e.s.node.CPU.Unblock()
 	}
 	e.outQ = nil
-}
-
-func (e *blockingSends) queueDebug() string {
-	return fmt.Sprintf("outQ=%d blocked=%v", len(e.outQ), e.blocked)
 }
 
 // ---- creditSends: user-level credit flow control (VIA) ----
@@ -283,11 +276,3 @@ func (e *creditSends) dropQueuedTo(dst int) {
 }
 
 func (e *creditSends) reset() { e.peerQ = make(map[int][]outMsg) }
-
-func (e *creditSends) queueDebug() string {
-	n := 0
-	for _, q := range e.peerQ {
-		n += len(q)
-	}
-	return fmt.Sprintf("peerQ=%d", n)
-}

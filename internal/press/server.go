@@ -308,10 +308,6 @@ func (s *Server) SetInterposer(fn func(*comm.SendParams)) { s.interpose = fn }
 // no-op while one is pending.
 func (s *Server) Interposed() bool { return s.interpose != nil }
 
-// FailFast terminates the process the way PRESS reacts to unexpected
-// communication errors.
-func (s *Server) FailFast(reason error) { s.failFast(reason) }
-
 // ---- lifecycle ----
 
 func (s *Server) teardown() {
@@ -557,24 +553,4 @@ func (s *Server) handleMsg(pc substrate.PeerConn, kind int, w wire) {
 			s.dir[f] |= 1 << uint(w.From)
 		}
 	}
-}
-
-// DebugState is a diagnostic snapshot used during development.
-func (s *Server) DebugState() string {
-	return fmt.Sprintf("n%d members=%v inflight=%d pending=%d %s",
-		s.id, s.Members(), s.inflight, len(s.pending), s.engine.queueDebug())
-}
-
-// DirStats summarises directory attribution per node (diagnostics).
-func (s *Server) DirStats() string {
-	var counts [9]int
-	for _, m := range s.dir {
-		for n := 0; n < 8; n++ {
-			if m&(1<<uint(n)) != 0 {
-				counts[n]++
-			}
-		}
-	}
-	return fmt.Sprintf("dir attribution: n0=%d n1=%d n2=%d n3=%d entries=%d",
-		counts[0], counts[1], counts[2], counts[3], len(s.dir))
 }

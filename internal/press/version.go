@@ -54,8 +54,8 @@ type VersionSpec struct {
 	// resolve -version flags against it via VersionByName.
 	Name string
 
-	// Substrate names the registered communication layer and its options
-	// (see internal/substrate).
+	// Substrate is the communication layer and its options (see
+	// internal/substrate); it builds each node's transport.
 	Substrate substrate.Spec
 
 	// FlowControl and Join select the server's send-path engine and
@@ -69,10 +69,6 @@ type VersionSpec struct {
 
 	// ZeroCopy sends file data straight out of the (pinned) file cache.
 	ZeroCopy bool
-
-	// RemoteWrites transfers data by remote memory writes with polled
-	// reception.
-	RemoteWrites bool
 
 	// UserLevel marks substrates that bypass the kernel (the pessimistic
 	// fault scenarios of Figures 7-10 apply to these).
@@ -112,7 +108,7 @@ var specs []VersionSpec
 // file names (version.go, version_robust.go) sort so that the paper's
 // five always take ordinals 0-4 and ROBUST-PRESS 5.
 func Register(spec VersionSpec) Version {
-	if spec.Name == "" || spec.Substrate.Name == "" {
+	if spec.Name == "" || spec.Substrate == nil {
 		panic("press: VersionSpec needs a Name and a Substrate")
 	}
 	for _, s := range specs {
@@ -178,7 +174,7 @@ var (
 	// VIAPress0 uses VIA with regular (interrupt-driven) messages.
 	VIAPress0 = Register(VersionSpec{
 		Name:            "VIA-PRESS-0",
-		Substrate:       subvia.Spec(subvia.DefaultOptions()),
+		Substrate:       subvia.DefaultOptions(),
 		FlowControl:     UserLevelCredits,
 		Join:            ImplicitRejoin,
 		UserLevel:       true,
@@ -191,7 +187,6 @@ var (
 		Substrate:       viaSubstrate(true),
 		FlowControl:     UserLevelCredits,
 		Join:            ImplicitRejoin,
-		RemoteWrites:    true,
 		UserLevel:       true,
 		PaperThroughput: 6221,
 		Costs:           via3Costs(),
@@ -203,7 +198,6 @@ var (
 		Substrate:       viaSubstrate(true),
 		FlowControl:     UserLevelCredits,
 		Join:            ImplicitRejoin,
-		RemoteWrites:    true,
 		ZeroCopy:        true,
 		UserLevel:       true,
 		PaperThroughput: 7058,
@@ -218,7 +212,7 @@ func tcpSubstrate() substrate.Spec {
 	// intervals; 30 s keeps "recovers slightly after repair" while
 	// preserving the rejoin race the paper observed after node crashes.
 	o.Config.MaxRTO = 30 * time.Second
-	return subtcp.Spec(o)
+	return o
 }
 
 // viaSubstrate is the stock VIA layer, with or without the RDMA-write
@@ -226,7 +220,7 @@ func tcpSubstrate() substrate.Spec {
 func viaSubstrate(remoteWrites bool) substrate.Spec {
 	o := subvia.DefaultOptions()
 	o.RemoteWrites = remoteWrites
-	return subvia.Spec(o)
+	return o
 }
 
 // Versions lists the paper's five versions in Table 1 order.
@@ -257,10 +251,6 @@ func (v Version) String() string {
 // user-level SAN substrate (ROBUST-PRESS is a library layer over the same
 // hardware).
 func (v Version) UsesVIA() bool { return v.Spec().UserLevel }
-
-// RemoteWrites reports whether intra-cluster messages use remote memory
-// writes with polled reception.
-func (v Version) RemoteWrites() bool { return v.Spec().RemoteWrites }
 
 // ZeroCopy reports whether file transfers avoid sender/receiver copies,
 // requiring the file cache to be pinned.

@@ -42,5 +42,5 @@ var RobustPress = Register(VersionSpec{
 func robustSubstrate() substrate.Spec {
 	o := subvia.DefaultOptions()
 	o.Config.SyncDescriptorChecks = true
-	return subvia.Spec(o)
+	return o
 }

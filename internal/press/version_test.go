@@ -1,6 +1,10 @@
 package press
 
-import "testing"
+import (
+	"testing"
+
+	subvia "vivo/internal/substrate/via"
+)
 
 // TestRegistryOrdinals pins the registration order of the built-in
 // versions. The ordinals are load-bearing: experiment seeds derive from
@@ -52,13 +56,17 @@ func TestVersionByName(t *testing.T) {
 }
 
 // TestSpecSelfConsistency checks that every registered spec is complete
-// enough to deploy: a named substrate, a calibrated cost model and a
-// Table-1 calibration target.
+// enough to deploy: a substrate, a calibrated cost model and a Table-1
+// calibration target. UserLevel must agree with the substrate itself, so
+// the kernel/user-level split is decided once.
 func TestSpecSelfConsistency(t *testing.T) {
 	for _, v := range AllVersions {
 		spec := v.Spec()
-		if spec.Substrate.Name == "" {
+		if spec.Substrate == nil {
 			t.Errorf("%v: no substrate", v)
+		}
+		if _, isVIA := spec.Substrate.(subvia.Options); spec.UserLevel != isVIA {
+			t.Errorf("%v: UserLevel=%v but substrate is %T", v, spec.UserLevel, spec.Substrate)
 		}
 		if spec.Costs == (CostModel{}) {
 			t.Errorf("%v: no cost model", v)

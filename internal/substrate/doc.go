@@ -1,6 +1,5 @@
 // Package substrate defines the service-provider interface between a
-// cluster service and its intra-cluster communication layer, plus a named
-// registry of implementations.
+// cluster service and its intra-cluster communication layer.
 //
 // The paper's central experiment holds the server constant and swaps the
 // communication architecture underneath it (kernel TCP vs user-level VIA,
@@ -14,16 +13,16 @@
 // TCP hides faults behind timeout-and-retry and surfaces minute-scale
 // breaks, VIA fail-stops a channel in about a second.
 //
-// # Registry
+// # Specs
 //
-// Implementations live in subpackages (substrate/tcp, substrate/via) and
-// register themselves by name in an init function; services select one
-// with a [Spec] and instantiate it per node via [New]. The registry is
-// what lets a new communication layer plug in without the service core
-// changing — registering a factory is the whole integration surface.
-// [Names] lists what is registered; the import boundary is enforced by
-// arch tests (the service core imports only this package, never a
-// protocol simulator directly).
+// A [Spec] is a value that builds a node's transport. Implementations
+// live in subpackages (substrate/tcp, substrate/via), and each one's
+// options type is its Spec: a service carries the value in its
+// configuration and calls [Spec.NewTransport] once per node. Adding a
+// communication layer means adding one such options type; the service
+// core does not change. The import boundary is enforced by arch tests
+// (the service core imports only this package, never a protocol
+// simulator directly).
 //
 // # Tracing
 //

@@ -61,11 +61,11 @@ type NodeEnv struct {
 	OS   *osmodel.OS
 }
 
-// Spec names a registered substrate together with the options its factory
-// understands. A zero Opts selects the implementation's defaults. Specs
-// are plain data: version registries and configs carry them around and
-// hand them to New at deployment time.
-type Spec struct {
-	Name string
-	Opts any
+// Spec is a value that builds a node's transport: an implementation's
+// options type. Version registries and configs carry Specs around and
+// call NewTransport once per node at deployment time; implementations
+// are plain comparable values, so the configs that hold them stay
+// comparable.
+type Spec interface {
+	NewTransport(env NodeEnv) Transport
 }

@@ -1,5 +1,5 @@
 // Package tcp adapts the simulated kernel TCP stack (internal/tcpsim) to
-// the substrate SPI and registers it as substrate "tcp".
+// the substrate SPI; [Options] is its [substrate.Spec].
 //
 // The adapter is deliberately thin: all TCP behaviour — byte-stream
 // framing, retransmission with exponential backoff, minute-scale aborts,
@@ -9,17 +9,12 @@
 package tcp
 
 import (
-	"fmt"
-
 	"vivo/internal/comm"
 	"vivo/internal/sim"
 	"vivo/internal/substrate"
 	"vivo/internal/tcpsim"
 	"vivo/internal/trace"
 )
-
-// Name is the registry name of this substrate.
-const Name = "tcp"
 
 // Options parameterizes the TCP substrate. The zero value is NOT the
 // default; use DefaultOptions and adjust fields.
@@ -33,27 +28,13 @@ func DefaultOptions() Options {
 	return Options{Config: tcpsim.DefaultConfig()}
 }
 
-// Spec wraps options into a registry spec for this substrate.
-func Spec(o Options) substrate.Spec {
-	return substrate.Spec{Name: Name, Opts: o}
-}
-
-func init() {
-	substrate.Register(Name, func(env substrate.NodeEnv, opts any) (substrate.Transport, error) {
-		o := DefaultOptions()
-		switch v := opts.(type) {
-		case nil:
-		case Options:
-			o = v
-		default:
-			return nil, fmt.Errorf("substrate/tcp: options must be tcp.Options, got %T", opts)
-		}
-		return transport{
-			st:   tcpsim.NewStack(env.K, env.HW, env.Node, env.OS, o.Config),
-			k:    env.K,
-			node: env.Node.ID,
-		}, nil
-	})
+// NewTransport implements [substrate.Spec]: one tcpsim stack per node.
+func (o Options) NewTransport(env substrate.NodeEnv) substrate.Transport {
+	return transport{
+		st:   tcpsim.NewStack(env.K, env.HW, env.Node, env.OS, o.Config),
+		k:    env.K,
+		node: env.Node.ID,
+	}
 }
 
 type transport struct {

@@ -1,5 +1,5 @@
 // Package via adapts the simulated user-level VIA NIC (internal/viasim)
-// to the substrate SPI and registers it as substrate "via".
+// to the substrate SPI; [Options] is its [substrate.Spec].
 //
 // VIA behaviour — message descriptors, pre-allocated pinned buffers,
 // credit flow control, ~1 s fail-stop channel breaks, remote writes with
@@ -11,17 +11,12 @@
 package via
 
 import (
-	"fmt"
-
 	"vivo/internal/comm"
 	"vivo/internal/sim"
 	"vivo/internal/substrate"
 	"vivo/internal/trace"
 	"vivo/internal/viasim"
 )
-
-// Name is the registry name of this substrate.
-const Name = "via"
 
 // Options parameterizes the VIA substrate. RemoteWrites selects the
 // RDMA-write data path on every send (VIA-PRESS-3/5); the zero value is
@@ -36,28 +31,14 @@ func DefaultOptions() Options {
 	return Options{Config: viasim.DefaultConfig()}
 }
 
-// Spec wraps options into a registry spec for this substrate.
-func Spec(o Options) substrate.Spec {
-	return substrate.Spec{Name: Name, Opts: o}
-}
-
-func init() {
-	substrate.Register(Name, func(env substrate.NodeEnv, opts any) (substrate.Transport, error) {
-		o := DefaultOptions()
-		switch v := opts.(type) {
-		case nil:
-		case Options:
-			o = v
-		default:
-			return nil, fmt.Errorf("substrate/via: options must be via.Options, got %T", opts)
-		}
-		return transport{
-			nic:          viasim.NewNIC(env.K, env.HW, env.Node, env.OS, o.Config),
-			remoteWrites: o.RemoteWrites,
-			k:            env.K,
-			node:         env.Node.ID,
-		}, nil
-	})
+// NewTransport implements [substrate.Spec]: one viasim NIC per node.
+func (o Options) NewTransport(env substrate.NodeEnv) substrate.Transport {
+	return transport{
+		nic:          viasim.NewNIC(env.K, env.HW, env.Node, env.OS, o.Config),
+		remoteWrites: o.RemoteWrites,
+		k:            env.K,
+		node:         env.Node.ID,
+	}
 }
 
 type transport struct {

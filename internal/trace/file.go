@@ -30,9 +30,6 @@ func CreateFile(path string) (*FileSink, error) {
 // Record implements Sink.
 func (s *FileSink) Record(e Event) { s.j.Record(e) }
 
-// Path returns the file the sink writes to.
-func (s *FileSink) Path() string { return s.path }
-
 // Close writes the JSON trailer, flushes, and closes the file. The first
 // error encountered wins; the file is closed in every case.
 func (s *FileSink) Close() error {

@@ -99,16 +99,11 @@ type Request struct {
 	// Node is the initial node chosen by round-robin DNS.
 	Node int
 
-	clients   *Clients
-	birth     sim.Time
-	settled   bool
-	succeeded bool
-	timer     sim.Event
+	clients *Clients
+	birth   sim.Time
+	settled bool
+	timer   sim.Event
 }
-
-// Birth returns the virtual time the client issued the request — the
-// start of its end-to-end latency measurement.
-func (r *Request) Birth() sim.Time { return r.birth }
 
 // Complete marks the request successfully served. Calls after the client
 // timed out (or duplicate calls) are ignored — the client is gone.
@@ -117,7 +112,6 @@ func (r *Request) Complete() {
 		return
 	}
 	r.settled = true
-	r.succeeded = true
 	r.timer.Cancel()
 	r.clients.settle(r, metrics.Served)
 }
@@ -135,9 +129,6 @@ func (r *Request) Fail(o metrics.Outcome) {
 
 // Settled reports whether an outcome was recorded for this request.
 func (r *Request) Settled() bool { return r.settled }
-
-// Succeeded reports whether the request completed successfully.
-func (r *Request) Succeeded() bool { return r.succeeded }
 
 // Backend is the server side the clients talk to (implemented by the PRESS
 // deployment).
