@@ -58,6 +58,8 @@ type Cluster struct {
 	Cfg   Config
 	Nodes []*Node
 	Sw    *Switch
+
+	flights []*flight // free list of in-flight packet records
 }
 
 // New builds a cluster per cfg on kernel k. All components start healthy.
@@ -109,35 +111,80 @@ func (c *Cluster) Transmit(p Packet) {
 	}
 	endSrc := start + txTime
 	src.Link.busyOut = endSrc
-	atSwitch := endSrc + c.Cfg.LinkLatency
-	c.K.At(atSwitch, func() {
-		if !c.Sw.Up || !src.Link.Up {
-			return // lost in the fabric
-		}
-		// Serialize on the destination link (direction: switch -> node).
-		s := c.K.Now() + c.Cfg.SwitchLatency
-		if dst.Link.busyIn > s {
-			s = dst.Link.busyIn
-		}
-		endDst := s + txTime
-		dst.Link.busyIn = endDst
-		arrive := endDst + c.Cfg.LinkLatency
-		inc := dst.incarnation
-		c.K.At(arrive, func() {
-			if !dst.Link.Up || !dst.Up || dst.Frozen {
-				return
-			}
-			if dst.incarnation != inc {
-				// The destination rebooted while the packet was in
-				// flight; the frame is meaningless to the new
-				// incarnation's hardware state and is dropped.
-				return
-			}
-			if h, ok := dst.protos[p.Proto]; ok {
-				h(p)
-			}
-		})
-	})
+	f := c.newFlight()
+	f.p, f.src, f.dst, f.txTime = p, src, dst, txTime
+	c.K.At(endSrc+c.Cfg.LinkLatency, f.atSwitch)
+}
+
+// flight is one packet crossing the fabric. Records are recycled through
+// Cluster.flights, and each one's hop callbacks are bound when it is first
+// made, so a packet in flight allocates nothing once the free list has
+// grown to the peak number of packets in flight.
+type flight struct {
+	c        *Cluster
+	p        Packet
+	src, dst *Node
+	txTime   time.Duration
+	inc      int // dst's incarnation when the packet left the switch
+
+	atSwitch, arrive func() // f.switchHop and f.deliver, bound once
+}
+
+func (c *Cluster) newFlight() *flight {
+	if n := len(c.flights); n > 0 {
+		f := c.flights[n-1]
+		c.flights[n-1] = nil
+		c.flights = c.flights[:n-1]
+		return f
+	}
+	f := &flight{c: c}
+	f.atSwitch = f.switchHop
+	f.arrive = f.deliver
+	return f
+}
+
+// release returns f to the free list, dropping its references so a
+// recycled record keeps no payload alive.
+func (c *Cluster) release(f *flight) {
+	f.p = Packet{}
+	f.src, f.dst = nil, nil
+	c.flights = append(c.flights, f)
+}
+
+func (f *flight) switchHop() {
+	c, dst := f.c, f.dst
+	if !c.Sw.Up || !f.src.Link.Up {
+		c.release(f) // lost in the fabric
+		return
+	}
+	// Serialize on the destination link (direction: switch -> node).
+	s := c.K.Now() + c.Cfg.SwitchLatency
+	if dst.Link.busyIn > s {
+		s = dst.Link.busyIn
+	}
+	endDst := s + f.txTime
+	dst.Link.busyIn = endDst
+	f.inc = dst.incarnation
+	c.K.At(endDst+c.Cfg.LinkLatency, f.arrive)
+}
+
+func (f *flight) deliver() {
+	// Copy out and release first: a handler that transmits may reuse
+	// this very record.
+	c, dst, p, inc := f.c, f.dst, f.p, f.inc
+	c.release(f)
+	if !dst.Link.Up || !dst.Up || dst.Frozen {
+		return
+	}
+	if dst.incarnation != inc {
+		// The destination rebooted while the packet was in flight;
+		// the frame is meaningless to the new incarnation's hardware
+		// state and is dropped.
+		return
+	}
+	if h, ok := dst.protos[p.Proto]; ok {
+		h(p)
+	}
 }
 
 // Switch models the single cluster switch. Taking it down drops every

@@ -125,7 +125,8 @@ func (s *Server) onBreak(pc substrate.PeerConn, err error) {
 	if !s.alive {
 		return
 	}
-	if s.deferIfStopped(func() { s.onBreak(pc, err) }) {
+	if s.proc.Stopped() {
+		s.deferred = append(s.deferred, func() { s.onBreak(pc, err) })
 		return
 	}
 	r := pc.Remote()

@@ -54,12 +54,19 @@ func (e *blockingSends) transmitOrQueue(dst int, p comm.SendParams) {
 		e.s.emitDepth(trace.EvOutQ, len(e.outQ))
 		return
 	}
-	e.trySend(outMsg{dst: dst, params: p})
+	m := outMsg{dst: dst, params: p}
+	if !e.trySend(&m) {
+		// outQ is empty while the loop is not blocked, so m becomes
+		// its head.
+		e.outQ = append(e.outQ, m)
+		e.stall(m.dst)
+	}
 }
 
-// trySend attempts one send; on flow-control pushback it blocks the main
-// loop (returns false).
-func (e *blockingSends) trySend(m outMsg) bool {
+// trySend attempts one send. On flow-control pushback it returns false
+// and the caller keeps m at the head of outQ; a reissue after a
+// descriptor rejection is recorded in m.retried.
+func (e *blockingSends) trySend(m *outMsg) bool {
 	s := e.s
 	pc := s.conns[m.dst]
 	if pc == nil || !pc.Established() {
@@ -74,13 +81,6 @@ func (e *blockingSends) trySend(m outMsg) bool {
 	case err == nil:
 		return true
 	case errors.Is(err, comm.ErrWouldBlock):
-		e.outQ = append([]outMsg{m}, e.outQ...)
-		s.emitDepth(trace.EvOutQ, len(e.outQ))
-		if !e.blocked {
-			e.blocked = true
-			s.node.CPU.Block()
-			s.emit(trace.Press, trace.EvLoopBlock, m.dst, int64(len(e.outQ)), "")
-		}
 		return false
 	case errors.Is(err, comm.ErrBadDescriptor):
 		// §7 robust layer: the corrupted call was rejected up front
@@ -101,22 +101,37 @@ func (e *blockingSends) trySend(m outMsg) bool {
 	}
 }
 
+// stall samples the queue depth after a pushback on dst and, unless it
+// already is, blocks the main loop.
+func (e *blockingSends) stall(dst int) {
+	s := e.s
+	s.emitDepth(trace.EvOutQ, len(e.outQ))
+	if !e.blocked {
+		e.blocked = true
+		s.node.CPU.Block()
+		s.emit(trace.Press, trace.EvLoopBlock, dst, int64(len(e.outQ)), "")
+	}
+}
+
 func (e *blockingSends) onWritable(int) { e.drainOut() }
 
 func (e *blockingSends) kick() { e.drainOut() }
 
+// drainOut sends from the head of outQ, popping each message only once
+// the substrate has accepted it.
 func (e *blockingSends) drainOut() {
 	popped := false
 	for len(e.outQ) > 0 {
-		m := e.outQ[0]
-		e.outQ = e.outQ[1:]
 		popped = true
-		if !e.trySend(m) {
-			return // re-blocked (trySend re-queued and re-sampled the depth)
+		if !e.trySend(&e.outQ[0]) {
+			e.stall(e.outQ[0].dst)
+			return // re-blocked with the message still at the head
 		}
 		if !e.s.alive {
-			return
+			return // teardown has already reset the queue
 		}
+		e.outQ[0] = outMsg{}
+		e.outQ = e.outQ[1:]
 	}
 	if popped {
 		e.s.emitDepth(trace.EvOutQ, 0)
@@ -231,15 +246,15 @@ func (e *creditSends) onWritable(dst int) { e.drainPeer(dst) }
 // membership change frees nothing.
 func (e *creditSends) kick() {}
 
+// drainPeer sends from the head of dst's queue, popping each message
+// only once the substrate has accepted it.
 func (e *creditSends) drainPeer(dst int) {
 	s := e.s
 	if len(e.peerQ[dst]) > 0 {
 		defer func() { e.s.emitDepth(trace.EvPeerQ, e.total()) }()
 	}
-	for len(e.peerQ[dst]) > 0 {
-		q := e.peerQ[dst]
-		m := q[0]
-		e.peerQ[dst] = q[1:]
+	for q := e.peerQ[dst]; len(q) > 0; q = e.peerQ[dst] {
+		m := &q[0]
 		pc := s.conns[dst]
 		if pc == nil || !pc.Established() {
 			delete(e.peerQ, dst)
@@ -251,17 +266,17 @@ func (e *creditSends) drainPeer(dst int) {
 		}
 		err := pc.Send(p)
 		if errors.Is(err, comm.ErrWouldBlock) {
-			// Put it back and wait for the next writable signal.
-			e.peerQ[dst] = append([]outMsg{m}, e.peerQ[dst]...)
-			return
-		}
-		if errors.Is(err, comm.ErrBadDescriptor) && !m.retried {
-			m.retried = true
-			e.peerQ[dst] = append([]outMsg{m}, e.peerQ[dst]...)
+			return // keep it at the head; wait for the next writable signal
 		}
 		if !s.alive {
-			return
+			return // teardown has already reset the queues
 		}
+		if errors.Is(err, comm.ErrBadDescriptor) && !m.retried {
+			m.retried = true // reissue it once, still at the head
+			continue
+		}
+		q[0] = outMsg{}
+		e.peerQ[dst] = q[1:]
 	}
 	delete(e.peerQ, dst)
 }

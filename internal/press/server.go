@@ -117,7 +117,9 @@ type Server struct {
 	interpose func(*comm.SendParams)
 
 	// deferred actions while the process is SIGSTOPped (helper-thread
-	// work that resumes on SIGCONT).
+	// work that resumes on SIGCONT). Callbacks build their deferral
+	// closure only inside their proc.Stopped() branch: built before the
+	// test, it would be heap-allocated on every message.
 	deferred []func()
 }
 
@@ -365,16 +367,6 @@ func (s *Server) runDeferred() {
 	}
 }
 
-// deferIfStopped queues helper-thread work while the process is stopped.
-// It returns true if the work was deferred.
-func (s *Server) deferIfStopped(fn func()) bool {
-	if s.proc.Stopped() {
-		s.deferred = append(s.deferred, fn)
-		return true
-	}
-	return false
-}
-
 // ---- connection management ----
 
 func (s *Server) dialPeer(j int) {
@@ -445,7 +437,8 @@ func (s *Server) onWritable(pc substrate.PeerConn) {
 	if !s.alive {
 		return
 	}
-	if s.deferIfStopped(func() { s.onWritable(pc) }) {
+	if s.proc.Stopped() {
+		s.deferred = append(s.deferred, func() { s.onWritable(pc) })
 		return
 	}
 	s.engine.onWritable(pc.Remote())
@@ -488,7 +481,8 @@ func (s *Server) onMessage(pc substrate.PeerConn, d substrate.Delivered) {
 	// The receive helper thread drains the channel: while the process is
 	// SIGSTOPped nothing drains, so flow-control windows/credits stay
 	// closed and peers eventually stall — the app-hang propagation path.
-	if s.deferIfStopped(func() { s.onMessage(pc, d) }) {
+	if s.proc.Stopped() {
+		s.deferred = append(s.deferred, func() { s.onMessage(pc, d) })
 		return
 	}
 	w, ok := d.Msg.Payload.(wire)

@@ -41,6 +41,24 @@
 // reused by a newer event. Scheduling allocates nothing once the arena
 // has grown to the peak number of live events.
 //
+// # Hot callbacks
+//
+// The kernel allocates nothing per event, so what a run allocates is the
+// callbacks its callers build: a capturing func literal, or a method value
+// such as c.complete, is heap-allocated each time it is evaluated. Code
+// that schedules the same callback again and again therefore binds it
+// once, in a field set when its owner is made, and keeps the per-event
+// state a closure would have captured in fields of that owner. An owner
+// with at most one event pending needs only fields: [Ticker] re-arms one
+// tick, the cluster CPU one completion (with the task's start time in a
+// field), a TCP connection one RTO callback, the client workload one
+// Poisson arrival. An owner with many events pending keeps a free list of
+// records, each with its callbacks bound when the record is first made:
+// packets in flight in the cluster, pending messages in a VIA interface.
+// A record goes back on its list only once its event has fired or been
+// cancelled, so a stale event never runs against a reused record. Tests
+// pin these paths at zero allocations with testing.AllocsPerRun.
+//
 // # Observability
 //
 // The kernel also carries the stack's tracer ([Kernel.SetTracer],

@@ -97,21 +97,22 @@ type Conn struct {
 	peerWindow int64
 	rto        time.Duration
 	rtoTimer   sim.Event
+	onRTO      func()   // c.rtoFired, bound once so re-arming does not allocate
 	noProgress sim.Time // when the current stall started (-1 = none)
 	wantWrite  bool
 	skbufWait  sim.Event
 
 	// --- receiver side ---
-	rcvNext      int64     // next expected stream byte
-	consumed     int64     // stream bytes released by the application
-	pendingRecs  []*record // records completed but not yet delivered
-	lastAdvWin   int64
-	desynced     bool
-	fatalSignled bool
+	rcvNext       int64     // next expected stream byte
+	consumed      int64     // stream bytes released by the application
+	pendingRecs   []*record // records completed but not yet delivered
+	lastAdvWin    int64
+	desynced      bool
+	fatalSignaled bool
 }
 
 func newConn(s *Stack, id uint64, remote int, passive bool) *Conn {
-	return &Conn{
+	c := &Conn{
 		s:          s,
 		id:         id,
 		remote:     remote,
@@ -122,6 +123,8 @@ func newConn(s *Stack, id uint64, remote int, passive bool) *Conn {
 		noProgress: -1,
 		lastAdvWin: int64(s.cfg.RecvBufCap),
 	}
+	c.onRTO = c.rtoFired
+	return c
 }
 
 // Remote returns the peer node id.
@@ -271,37 +274,39 @@ func (c *Conn) armRTO() {
 	if c.noProgress < 0 {
 		c.noProgress = c.s.k.Now()
 	}
-	c.rtoTimer = c.s.k.After(c.rto, func() {
-		if c.state != stEstablished {
-			return
+	c.rtoTimer = c.s.k.After(c.rto, c.onRTO)
+}
+
+func (c *Conn) rtoFired() {
+	if c.state != stEstablished {
+		return
+	}
+	if c.sndUna >= c.sndEnd {
+		return // everything acked in the meantime
+	}
+	if c.s.k.Now()-c.noProgress >= c.s.cfg.AbortAfter {
+		// Minutes of retries without progress: give up. This
+		// is the slow path the paper blames for TCP's poor
+		// fault detection.
+		c.abort(ErrTimeout, true)
+		return
+	}
+	// Go-back-N: rewind to the left edge and resend the window.
+	c.sndNext = c.sndUna
+	c.pump()
+	if c.sndNext == c.sndUna {
+		// Zero peer window: send one probe segment anyway.
+		seg := c.sndEnd - c.sndUna
+		if seg > int64(c.s.cfg.MSS) {
+			seg = int64(c.s.cfg.MSS)
 		}
-		if c.sndUna >= c.sndEnd {
-			return // everything acked in the meantime
-		}
-		if c.s.k.Now()-c.noProgress >= c.s.cfg.AbortAfter {
-			// Minutes of retries without progress: give up. This
-			// is the slow path the paper blames for TCP's poor
-			// fault detection.
-			c.abort(ErrTimeout, true)
-			return
-		}
-		// Go-back-N: rewind to the left edge and resend the window.
-		c.sndNext = c.sndUna
-		c.pump()
-		if c.sndNext == c.sndUna {
-			// Zero peer window: send one probe segment anyway.
-			seg := c.sndEnd - c.sndUna
-			if seg > int64(c.s.cfg.MSS) {
-				seg = int64(c.s.cfg.MSS)
-			}
-			c.transmitSegment(c.sndUna, seg)
-		}
-		c.rto *= 2
-		if c.rto > c.s.cfg.MaxRTO {
-			c.rto = c.s.cfg.MaxRTO
-		}
-		c.armRTO()
-	})
+		c.transmitSegment(c.sndUna, seg)
+	}
+	c.rto *= 2
+	if c.rto > c.s.cfg.MaxRTO {
+		c.rto = c.s.cfg.MaxRTO
+	}
+	c.armRTO()
 }
 
 func (c *Conn) handleAck(f frame) {
@@ -320,7 +325,9 @@ func (c *Conn) handleAck(f frame) {
 		for i < len(c.sendQ) && c.sendQ[i].end <= c.sndUna {
 			i++
 		}
-		c.sendQ = c.sendQ[i:]
+		if i > 0 {
+			c.sendQ = dropFront(c.sendQ, i)
+		}
 	}
 	c.pump()
 	c.notifyWritable()
@@ -387,7 +394,7 @@ func (c *Conn) deliver() {
 		if r.end > c.rcvNext {
 			break
 		}
-		c.pendingRecs = c.pendingRecs[1:]
+		c.pendingRecs = dropFront(c.pendingRecs, 1)
 		if c.desynced {
 			// Everything after the framing error is garbage.
 			c.signalFatal(comm.ErrStreamCorrupt)
@@ -419,11 +426,20 @@ func (c *Conn) deliver() {
 	}
 }
 
+// dropFront removes the first n records in place. Reslicing from the
+// front instead would leave no spare capacity behind the tail, so every
+// later append would reallocate the queue.
+func dropFront(q []*record, n int) []*record {
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
+}
+
 func (c *Conn) signalFatal(err error) {
-	if c.fatalSignled {
+	if c.fatalSignaled {
 		return
 	}
-	c.fatalSignled = true
+	c.fatalSignaled = true
 	if c.Handler.OnFatal != nil {
 		c.Handler.OnFatal(c, err)
 	}

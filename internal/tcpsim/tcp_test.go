@@ -563,3 +563,54 @@ func TestWritableReflectsBufferState(t *testing.T) {
 		t.Fatalf("send on saturated stream = %v, want ErrWouldBlock", err)
 	}
 }
+
+func TestRTORearmDoesNotAllocate(t *testing.T) {
+	r := newRig(t)
+	a, _ := r.connect(t, 0, 1)
+	r.cl.Node(1).Link.Up = false // nothing is acked, so the RTO stays armed
+	if err := a.Send(msg(1, 1000, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if !a.rtoTimer.Pending() {
+		t.Fatal("no RTO armed for unacked data")
+	}
+	rearm := func() {
+		a.rtoTimer.Cancel()
+		a.armRTO()
+	}
+	rearm() // warm the kernel arena
+	if allocs := testing.AllocsPerRun(100, rearm); allocs != 0 {
+		t.Fatalf("re-arming the RTO allocates %.1f times", allocs)
+	}
+}
+
+// Acked records leave sendQ, and delivered ones leave pendingRecs, by
+// compaction in place: a steady exchange keeps reusing the same storage
+// instead of reallocating on every append.
+func TestRecordQueuesReuseStorage(t *testing.T) {
+	r := newRig(t)
+	a, b := r.connect(t, 0, 1)
+	b.Handler.OnMessage = func(c *Conn, d *Delivered) { d.Release() }
+	exchange := func() {
+		for i := 0; i < 3; i++ {
+			if err := a.Send(msg(1, 100, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.k.Run(r.k.Now() + 10*time.Millisecond)
+		if len(a.sendQ) != 0 || len(b.pendingRecs) != 0 {
+			t.Fatalf("sendQ %d, pendingRecs %d after the exchange settled", len(a.sendQ), len(b.pendingRecs))
+		}
+	}
+	exchange()
+	sendQ, pending := &a.sendQ[:1][0], &b.pendingRecs[:1][0]
+	for i := 0; i < 20; i++ {
+		exchange()
+	}
+	if &a.sendQ[:1][0] != sendQ || &b.pendingRecs[:1][0] != pending {
+		t.Fatal("a record queue was reallocated in steady state")
+	}
+	if a.sendQ[:1][0] != nil || b.pendingRecs[:1][0] != nil {
+		t.Fatal("a dropped record is still referenced by its queue's storage")
+	}
+}

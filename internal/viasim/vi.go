@@ -55,11 +55,16 @@ func (d *Delivered) Release() {
 	d.vi.Release()
 }
 
+// pendingMsg is one sent message awaiting its hardware ack. Records are
+// recycled through VI.free, and each one's timeout callback is bound when
+// the record is first made, so a message allocates neither.
 type pendingMsg struct {
-	f     frame
-	size  int
-	tries int
-	timer sim.Event
+	v       *VI
+	f       frame
+	size    int
+	tries   int
+	timer   sim.Event
+	timeout func() // pm.expire, bound once
 }
 
 // VI is one Virtual Interface endpoint (a connected channel to one peer).
@@ -82,6 +87,7 @@ type VI struct {
 	probing       bool
 	nextSeq       uint64
 	pending       map[uint64]*pendingMsg
+	free          []*pendingMsg // acked records, ready for reuse
 
 	expected uint64
 	// reorder buffers out-of-order frames of a loss burst (selective
@@ -188,32 +194,48 @@ func (v *VI) Send(p comm.SendParams, remoteWrite bool) error {
 		corrupt:      p.PtrOffset != 0,
 		sizeMismatch: p.SizeOffset != 0,
 	}
-	pm := &pendingMsg{f: f, size: wire}
+	pm := v.newPending()
+	pm.f, pm.size = f, wire
 	v.pending[f.msgID] = pm
 	v.n.transmit(v.remote, f, wire)
 	v.armHWAck(pm)
 	return nil
 }
 
+func (v *VI) newPending() *pendingMsg {
+	if n := len(v.free); n > 0 {
+		pm := v.free[n-1]
+		v.free[n-1] = nil
+		v.free = v.free[:n-1]
+		return pm
+	}
+	pm := &pendingMsg{v: v}
+	pm.timeout = pm.expire
+	return pm
+}
+
 func (v *VI) armHWAck(pm *pendingMsg) {
-	pm.timer = v.n.k.After(v.n.cfg.HWAckTimeout, func() {
-		if v.state != viEstablished {
-			return
-		}
-		if _, live := v.pending[pm.f.msgID]; !live {
-			return
-		}
-		pm.tries++
-		if pm.tries >= v.n.cfg.HWAckRetries {
-			// Fail-stop: the fabric could not deliver. Break the
-			// channel and let recovery begin — this is VIA's fast,
-			// accurate error reporting in action.
-			v.breakConn(ErrConnBroken)
-			return
-		}
-		v.n.transmit(v.remote, pm.f, pm.size)
-		v.armHWAck(pm)
-	})
+	pm.timer = v.n.k.After(v.n.cfg.HWAckTimeout, pm.timeout)
+}
+
+func (pm *pendingMsg) expire() {
+	v := pm.v
+	if v.state != viEstablished {
+		return
+	}
+	if _, live := v.pending[pm.f.msgID]; !live {
+		return
+	}
+	pm.tries++
+	if pm.tries >= v.n.cfg.HWAckRetries {
+		// Fail-stop: the fabric could not deliver. Break the
+		// channel and let recovery begin — this is VIA's fast,
+		// accurate error reporting in action.
+		v.breakConn(ErrConnBroken)
+		return
+	}
+	v.n.transmit(v.remote, pm.f, pm.size)
+	v.armHWAck(pm)
 }
 
 func (v *VI) handleHWAck(msgID uint64) {
@@ -221,8 +243,12 @@ func (v *VI) handleHWAck(msgID uint64) {
 	if !ok {
 		return
 	}
+	// Cancel before recycling: a stale timeout must never fire against
+	// the record's next message.
 	pm.timer.Cancel()
 	delete(v.pending, msgID)
+	*pm = pendingMsg{v: v, timeout: pm.timeout}
+	v.free = append(v.free, pm)
 }
 
 // armDynRetry polls for kernel memory to come back (ablation mode only).

@@ -520,3 +520,45 @@ func TestTransientLossBurstFullyAbsorbed(t *testing.T) {
 		t.Fatalf("post-recovery burst delivered %d of 20 within 50ms", len(got)-start)
 	}
 }
+
+// In steady state every acked message hands its pendingMsg record back to
+// the VI, the next Send takes it again, and arming its HW-ack timeout
+// allocates nothing: the callback was bound when the record was made.
+func TestAckedMessagesRecyclePendingRecords(t *testing.T) {
+	r := newRig(t)
+	a, b := r.connect(t, 0, 1)
+	b.Handler.OnMessage = func(v *VI, d *Delivered) { d.Release() }
+	send := func() {
+		if err := a.Send(msg(1, 512, nil), false); err != nil {
+			t.Fatal(err)
+		}
+		r.k.Run(r.k.Now() + time.Millisecond)
+		if len(a.pending) != 0 {
+			t.Fatalf("%d messages still await their HW ack", len(a.pending))
+		}
+	}
+	send()
+	if len(a.free) != 1 {
+		t.Fatalf("free list holds %d records after one acked message, want 1", len(a.free))
+	}
+	rec := a.free[0]
+	for i := 0; i < 20; i++ {
+		send()
+	}
+	if len(a.free) != 1 || a.free[0] != rec {
+		t.Fatal("steady-state messages did not reuse the same pendingMsg record")
+	}
+	if rec.f.payload != nil || rec.timer.Pending() {
+		t.Fatal("a recycled record keeps its payload or a live timer")
+	}
+	cycle := func() {
+		pm := a.newPending()
+		pm.f.msgID = 1 << 40
+		a.pending[pm.f.msgID] = pm
+		a.armHWAck(pm)
+		a.handleHWAck(pm.f.msgID)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a pendingMsg round trip allocates %.1f times", allocs)
+	}
+}

@@ -172,6 +172,7 @@ type Clients struct {
 
 	running bool
 	rr      int
+	arrival func() // c.arrive, bound once so each arrival allocates no closure
 
 	// Request-conservation accounting: every issued request must
 	// eventually record exactly one outcome. The chaos oracles compare
@@ -215,7 +216,9 @@ func NewClients(k *sim.Kernel, cfg ClientConfig, trace Sampler, backend Backend,
 	if cfg.Rate <= 0 || cfg.Nodes <= 0 {
 		panic("workload: bad client config")
 	}
-	return &Clients{k: k, cfg: cfg, trace: trace, backend: backend, rec: rec}
+	c := &Clients{k: k, cfg: cfg, trace: trace, backend: backend, rec: rec}
+	c.arrival = c.arrive
+	return c
 }
 
 // Start begins generating requests.
@@ -236,13 +239,15 @@ func (c *Clients) scheduleNext() {
 	}
 	// Exponential inter-arrival time for a Poisson process.
 	gap := time.Duration(c.k.Rand().ExpFloat64() / c.cfg.Rate * float64(time.Second))
-	c.k.After(gap, func() {
-		if !c.running {
-			return
-		}
-		c.issue()
-		c.scheduleNext()
-	})
+	c.k.After(gap, c.arrival)
+}
+
+func (c *Clients) arrive() {
+	if !c.running {
+		return
+	}
+	c.issue()
+	c.scheduleNext()
 }
 
 func (c *Clients) issue() {
