@@ -129,10 +129,12 @@ func TestRunLayersGoThroughObservationPipeline(t *testing.T) {
 
 // Non-test sources of the run layers must not assemble instrumentation
 // by hand: recorder and tracer construction belongs to obs.Harness and
-// its probes, so every run is observed the same way. (Test files may
-// still construct recorders to probe components in isolation.)
+// its probes, so every run is observed the same way. Nor may they keep a
+// copy of a run's event stream: oracles fold events as they arrive.
+// (Test files may still construct recorders to probe components in
+// isolation.)
 func TestRunLayersDoNotAssembleInstrumentation(t *testing.T) {
-	banned := []string{"metrics.NewRecorder(", "SetTracer(", "latency.NewRecorder("}
+	banned := []string{"metrics.NewRecorder(", "SetTracer(", "latency.NewRecorder(", "trace.NewRecorder("}
 	for _, pkg := range []string{pkgExperiments, pkgChaos} {
 		for _, path := range goFiles(t, pkg) {
 			src, err := os.ReadFile(path)

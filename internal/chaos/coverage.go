@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-	"vivo/internal/trace"
 )
 
 // The coverage signature is the guided search's notion of "behaviour":
@@ -56,13 +55,8 @@ func Signature(o *Observation, verdicts []Verdict) []string {
 		}
 	}
 	if o.Events != nil {
-		prev := ""
-		for _, e := range o.Events.Events() {
-			tok := bigramToken(e)
-			if prev != "" {
-				set["b:"+prev+">"+tok] = struct{}{}
-			}
-			prev = tok
+		for bg := range o.Events.bigrams {
+			set["b:"+bg[0]+">"+bg[1]] = struct{}{}
 		}
 	}
 	out := make([]string, 0, len(set))
@@ -71,17 +65,6 @@ func Signature(o *Observation, verdicts []Verdict) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// bigramToken is an event's identity in the bigram fold: the event kind,
-// plus the fault name for injector events (see the package comment above
-// — fault interleavings are the orderings the mutation loop can act on).
-func bigramToken(e trace.Event) string {
-	switch e.Name {
-	case trace.EvFaultInject, trace.EvFaultHeal:
-		return e.Name + ":" + faultName(e.Note)
-	}
-	return e.Name
 }
 
 // scheduleBits predicts, before running anything, the signature features

@@ -59,7 +59,7 @@ func TestSignatureBits(t *testing.T) {
 	if !sort.StringsAreSorted(sig) {
 		t.Fatal("signature bits not sorted")
 	}
-	// Duplicate bigrams fold into one bit; a nil event log drops only the
+	// Duplicate bigrams fold into one bit; a nil event fold drops only the
 	// bigram family.
 	o.Events.Record(trace.Event{Name: trace.EvRecv, Node: 0, Peer: 1})
 	if again := Signature(o, verdicts); len(again) != len(sig) {
@@ -67,7 +67,7 @@ func TestSignatureBits(t *testing.T) {
 	}
 	o.Events = nil
 	if noEv := Signature(o, verdicts); len(noEv) != 4 {
-		t.Fatalf("nil event log kept bigram bits: %q", noEv)
+		t.Fatalf("nil event fold kept bigram bits: %q", noEv)
 	}
 }
 

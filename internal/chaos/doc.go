@@ -20,7 +20,14 @@
 //   - membership convergence: after stabilization every alive, joined
 //     server agrees on the member set (same gate);
 //   - trace well-formedness: every EvFaultInject has exactly one matching
-//     EvFaultHeal.
+//     EvFaultHeal;
+//   - no send after eviction: a server does not address a peer it
+//     removed from its view until something re-establishes the pair;
+//   - no admission on a crashed node: no request is admitted between a
+//     node-crash injection and its heal.
+//
+// The last three read an EventFold, which folds each event as the run
+// emits it, so no run's trace is kept.
 //
 // Because every run is deterministic — the kernel, the workload and the
 // schedule all derive from one seed — a violated invariant is not a flaky

@@ -16,7 +16,7 @@ import (
 )
 
 // stubRun is the synthetic runner behind the guided-search unit tests: a
-// healthy observation whose event log faithfully records the schedule's
+// healthy observation whose event fold faithfully records the schedule's
 // injections and heals (in timestamp order, inject before heal at ties)
 // but simulates nothing. Every default oracle passes on it; the
 // ForbidPair fixture fails iff the schedule carries both halves — which
@@ -40,7 +40,7 @@ func stubRun(v press.Version, p Params, seed int64, sched Schedule, name string)
 		}
 		return !evs[i].heal && evs[j].heal
 	})
-	events := trace.NewRecorder()
+	events := &EventFold{}
 	for _, e := range evs {
 		name := trace.EvFaultInject
 		if e.heal {

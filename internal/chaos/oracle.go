@@ -7,7 +7,6 @@ import (
 	"vivo/internal/faults"
 	"vivo/internal/metrics"
 	"vivo/internal/press"
-	"vivo/internal/trace"
 )
 
 // Status is an oracle's judgement of one run.
@@ -260,36 +259,38 @@ func faultName(note string) string {
 	return name
 }
 
+// foldVerdict judges an event-reading oracle from the run's EventFold:
+// skip without one, else fail with the detail detail returns, or pass
+// when it returns "".
+func foldVerdict(o *Observation, oracle string, detail func(*EventFold) string) Verdict {
+	if o.Events == nil {
+		return Verdict{Oracle: oracle, Status: Skip, Detail: "no event fold attached"}
+	}
+	if d := detail(o.Events); d != "" {
+		return Verdict{Oracle: oracle, Status: Fail, Detail: d}
+	}
+	return Verdict{Oracle: oracle, Status: Pass}
+}
+
 func (wellFormed) Check(o *Observation) Verdict {
-	v := Verdict{Oracle: "trace-well-formed", Status: Pass}
-	type key struct {
-		node int
-		name string
-	}
-	open := map[key]int{}
-	for _, e := range o.Events.Events() {
-		switch e.Name {
-		case trace.EvFaultInject:
-			open[key{e.Node, faultName(e.Note)}]++
-		case trace.EvFaultHeal:
-			k := key{e.Node, faultName(e.Note)}
-			if open[k] == 0 {
-				v.Status = Fail
-				v.Detail = fmt.Sprintf("heal of %s on n%d at %v without a matching injection",
-					faultName(e.Note), e.Node, e.TS)
-				return v
+	return foldVerdict(o, "trace-well-formed", func(f *EventFold) string {
+		if f.orphanHeal != "" {
+			return f.orphanHeal
+		}
+		// Name the smallest leaked (node, fault), so the detail does not
+		// depend on map order.
+		var leak faultKey
+		n := 0
+		for k, c := range f.unhealed {
+			if c > 0 && (n == 0 || k.node < leak.node || k.node == leak.node && k.name < leak.name) {
+				leak, n = k, c
 			}
-			open[k]--
 		}
-	}
-	for k, n := range open {
-		if n != 0 {
-			v.Status = Fail
-			v.Detail = fmt.Sprintf("%d injection(s) of %s on n%d never healed", n, k.name, k.node)
-			return v
+		if n == 0 {
+			return ""
 		}
-	}
-	return v
+		return fmt.Sprintf("%d injection(s) of %s on n%d never healed", n, leak.name, leak.node)
+	})
 }
 
 // recovery checks post-heal recovery: for recoverable schedules, the
@@ -399,13 +400,11 @@ func (f ForbidFault) Name() string { return "forbid-" + f.T.String() }
 // the forbidden type (reading the trace, not the schedule, so shrinking
 // has to keep an actually-injected instance).
 func (f ForbidFault) Check(o *Observation) Verdict {
-	v := Verdict{Oracle: f.Name(), Status: Pass}
-	for _, e := range o.Events.Events() {
-		if e.Name == trace.EvFaultInject && faultName(e.Note) == f.T.String() {
-			v.Status = Fail
-			v.Detail = fmt.Sprintf("fixture violation: %s injected into n%d at %v", f.T, e.Node, e.TS)
-			return v
+	return foldVerdict(o, f.Name(), func(ef *EventFold) string {
+		e, ok := ef.injected[f.T.String()]
+		if !ok {
+			return ""
 		}
-	}
-	return v
+		return fmt.Sprintf("fixture violation: %s injected into n%d at %v", f.T, e.Node, e.TS)
+	})
 }

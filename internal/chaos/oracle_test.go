@@ -15,7 +15,7 @@ import (
 // break exactly one invariant.
 func fakeObs() *Observation {
 	p := DefaultParams()
-	events := trace.NewRecorder()
+	events := &EventFold{}
 	pts := make([]metrics.Point, int(p.horizon()/time.Second))
 	for i := range pts {
 		pts[i] = metrics.Point{At: time.Duration(i) * time.Second, Throughput: 1000}
@@ -161,6 +161,24 @@ func TestWellFormedOracle(t *testing.T) {
 	obs.Events.Record(ev(trace.EvFaultHeal, "app-hang", 0, 10*time.Second))
 	if v := verdictOf(t, wellFormed{}, obs); v.Status != Fail {
 		t.Fatal("orphan heal not detected")
+	}
+}
+
+// With several injections leaked, the detail names the smallest
+// (node, fault) every time, whatever the map order.
+func TestWellFormedLeakDetailIsDeterministic(t *testing.T) {
+	sec := func(s int) time.Duration { return time.Duration(s) * time.Second }
+	const want = "1 injection(s) of app-hang on n1 never healed"
+	for i := 0; i < 20; i++ {
+		o := orderObs(
+			inject(sec(30), 2, "link-down"),
+			inject(sec(31), 1, "node-hang"),
+			inject(sec(32), 1, "app-hang"),
+			inject(sec(33), 3, "app-hang"),
+		)
+		if v := verdictOf(t, wellFormed{}, o); v.Status != Fail || v.Detail != want {
+			t.Fatalf("attempt %d: %+v, want FAIL %q", i, v, want)
+		}
 	}
 }
 

@@ -6,14 +6,12 @@ import (
 	"strings"
 
 	"vivo/internal/faults"
-	"vivo/internal/trace"
 )
 
 // The ordering oracles check properties of the *sequence* of trace
 // events, not just their counts: protocol steps that must not interleave
-// the wrong way. Both are pure folds over the in-memory event log the
-// EventLog probe collects, replaying the emission order once with O(1)
-// state per node pair.
+// the wrong way. EventFold folds the events in emission order as the run
+// emits them, with O(1) state per node pair; Check only reads the result.
 
 // evictSend checks "no send after eviction": once a server Y removes
 // peer X from its membership view, Y must not address X again until
@@ -37,56 +35,7 @@ type evictSend struct{}
 func (evictSend) Name() string { return "no-send-after-evict" }
 
 func (evictSend) Check(o *Observation) Verdict {
-	v := Verdict{Oracle: "no-send-after-evict", Status: Pass}
-	if o.Events == nil {
-		v.Status = Skip
-		v.Detail = "no event log collected"
-		return v
-	}
-	type pair struct{ y, x int }
-	evicted := map[pair]bool{}
-	clearEvictor := func(y int) {
-		for k := range evicted {
-			if k.y == y {
-				delete(evicted, k)
-			}
-		}
-	}
-	for _, e := range o.Events.Events() {
-		switch e.Name {
-		case trace.EvMembership:
-			trigger, view := parseMembershipNote(e.Note)
-			for _, x := range view {
-				delete(evicted, pair{e.Node, x})
-			}
-			switch trigger {
-			case "removed":
-				if e.Peer >= 0 {
-					evicted[pair{e.Node, e.Peer}] = true
-				}
-			case "remerge", "join timeout":
-				clearEvictor(e.Node)
-			}
-		case trace.EvRecv:
-			if e.Peer >= 0 {
-				delete(evicted, pair{e.Node, e.Peer})
-			}
-		case trace.EvFaultInject:
-			if processKilling(faultName(e.Note)) {
-				clearEvictor(e.Node)
-			}
-		case trace.EvFatal:
-			clearEvictor(e.Node)
-		case trace.EvSend, trace.EvSendBlock, trace.EvCreditStall:
-			if e.Peer >= 0 && evicted[pair{e.Node, e.Peer}] {
-				v.Status = Fail
-				v.Detail = fmt.Sprintf("n%d %s to n%d at %v after evicting it",
-					e.Node, e.Name, e.Peer, e.TS)
-				return v
-			}
-		}
-	}
-	return v
+	return foldVerdict(o, "no-send-after-evict", func(f *EventFold) string { return f.sendAfterEvict })
 }
 
 // processKilling lists the fault injections after which the target's
@@ -135,34 +84,7 @@ type crashAdmit struct{}
 func (crashAdmit) Name() string { return "no-admit-on-crashed" }
 
 func (crashAdmit) Check(o *Observation) Verdict {
-	v := Verdict{Oracle: "no-admit-on-crashed", Status: Pass}
-	if o.Events == nil {
-		v.Status = Skip
-		v.Detail = "no event log collected"
-		return v
-	}
-	crashName := faults.NodeCrash.String()
-	open := map[int]int{}
-	for _, e := range o.Events.Events() {
-		switch e.Name {
-		case trace.EvFaultInject:
-			if faultName(e.Note) == crashName {
-				open[e.Node]++
-			}
-		case trace.EvFaultHeal:
-			if faultName(e.Note) == crashName && open[e.Node] > 0 {
-				open[e.Node]--
-			}
-		case trace.EvReqAdmit:
-			if open[e.Node] > 0 {
-				v.Status = Fail
-				v.Detail = fmt.Sprintf("n%d admitted a request at %v while node-crashed",
-					e.Node, e.TS)
-				return v
-			}
-		}
-	}
-	return v
+	return foldVerdict(o, "no-admit-on-crashed", func(f *EventFold) string { return f.admitOnCrashed })
 }
 
 // ForbidPair is the guided search's seeded-violation fixture: it flags
@@ -182,23 +104,12 @@ func (f ForbidPair) Name() string {
 // both types (reading the trace, not the schedule, so shrinking must
 // keep one actually-injected instance of each).
 func (f ForbidPair) Check(o *Observation) Verdict {
-	v := Verdict{Oracle: f.Name(), Status: Pass}
-	var sawA, sawB bool
-	for _, e := range o.Events.Events() {
-		if e.Name != trace.EvFaultInject {
-			continue
+	return foldVerdict(o, f.Name(), func(ef *EventFold) string {
+		_, sawA := ef.injected[f.A.String()]
+		_, sawB := ef.injected[f.B.String()]
+		if !sawA || !sawB {
+			return ""
 		}
-		switch faultName(e.Note) {
-		case f.A.String():
-			sawA = true
-		case f.B.String():
-			sawB = true
-		}
-		if sawA && sawB {
-			v.Status = Fail
-			v.Detail = fmt.Sprintf("fixture violation: both %s and %s injected", f.A, f.B)
-			return v
-		}
-	}
-	return v
+		return fmt.Sprintf("fixture violation: both %s and %s injected", f.A, f.B)
+	})
 }

@@ -143,16 +143,21 @@ func TestEvictSendOracleClosesWindows(t *testing.T) {
 	}
 }
 
+// Every event-reading oracle skips, rather than panics, on an
+// observation with no event fold.
 func TestEvictSendOracleSkipsWithoutEvents(t *testing.T) {
-	o := fakeObs()
-	o.Events = nil
-	if v := verdictOf(t, evictSend{}, o); v.Status != Skip {
-		t.Fatalf("nil event log judged %v, want skip", v.Status)
-	}
-	o = fakeObs()
-	o.Events = nil
-	if v := verdictOf(t, crashAdmit{}, o); v.Status != Skip {
-		t.Fatalf("nil event log judged %v, want skip", v.Status)
+	for _, orc := range []Oracle{
+		wellFormed{}, evictSend{}, crashAdmit{},
+		ForbidFault{T: faults.AppCrash},
+		ForbidPair{A: faults.KernelMemory, B: faults.LinkDown},
+	} {
+		t.Run(orc.Name(), func(t *testing.T) {
+			o := fakeObs()
+			o.Events = nil
+			if v := verdictOf(t, orc, o); v.Status != Skip {
+				t.Fatalf("nil event fold judged %v, want skip", v.Status)
+			}
+		})
 	}
 }
 

@@ -174,8 +174,8 @@ func (p *Params) UnmarshalJSON(b []byte) error {
 }
 
 // Observation is everything the oracles get to look at after one run:
-// request accounting, the throughput timeline, the full event trace, and
-// a post-drain inventory of every node.
+// request accounting, the throughput timeline, the fold of the event
+// stream, and a post-drain inventory of every node.
 type Observation struct {
 	Version  press.Version
 	Seed     int64
@@ -198,14 +198,14 @@ type Observation struct {
 	BaselineTail float64
 
 	Timeline  metrics.Timeline
-	Events    *trace.Recorder
+	Events    *EventFold
 	Inventory []press.NodeView
 }
 
 // runOne executes one chaos run: warm deployment, steady load, the whole
 // schedule injected, then a drain so every client timer resolves — an
-// obs.Harness configuration with the EventLog probe always attached (the
-// well-formedness oracle needs the full event stream). extra, when
+// obs.Harness configuration with an EventFold always attached, so the
+// event-reading oracles are judged as the events arrive. extra, when
 // non-nil, additionally receives every event (e.g. a JSON trace file).
 // An error means the schedule itself was invalid — no simulation ran.
 func runOne(v press.Version, p Params, seed int64, sched Schedule, extra trace.Sink) (*Observation, error) {
@@ -223,7 +223,7 @@ func runOne(v press.Version, p Params, seed int64, sched Schedule, extra trace.S
 		Drain:   drain,
 		Sink:    extra,
 	}
-	events := &obs.EventLog{}
+	events := &EventFold{}
 	run, err := h.Run(events)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: bad schedule: %v", err)
@@ -234,8 +234,8 @@ func runOne(v press.Version, p Params, seed int64, sched Schedule, extra trace.S
 
 // observe completes o from a finished harness run: the drained client
 // counters, the recorder totals and their per-outcome decomposition, the
-// timeline, the event log and the final inventory.
-func observe(o Observation, run *obs.Run, events *obs.EventLog) *Observation {
+// timeline, the event fold and the final inventory.
+func observe(o Observation, run *obs.Run, events *EventFold) *Observation {
 	o.Issued = run.Clients.Issued()
 	o.Unsettled = run.Clients.Unsettled()
 	o.Served, o.Failed = run.Rec.Totals()
@@ -246,7 +246,7 @@ func observe(o Observation, run *obs.Run, events *obs.EventLog) *Observation {
 		metrics.Refused:        run.Rec.OutcomeCount(metrics.Refused),
 	}
 	o.Timeline = run.Rec.Timeline()
-	o.Events = events.Events
+	o.Events = events
 	o.Inventory = run.Deployment.Inventory()
 	return &o
 }

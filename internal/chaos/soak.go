@@ -20,11 +20,12 @@ import (
 // boundary. Cycle 0 runs fault-free and measures the in-run baseline
 // tail; cycles 1..Cycles each inject one Generate-drawn schedule, offset
 // by the cycle's base time, and are judged at their boundary by the
-// continuously checkable oracles — the trace-ordering folds and
-// well-formedness over the cumulative event log, plus membership
-// convergence and tail recovery while every schedule so far has been
-// recoverable. The final verdicts re-run the full suite (conservation
-// and liveness need the post-drain counters) over the whole run.
+// continuously checkable oracles — the trace-ordering oracles and
+// well-formedness, read from the live EventFold in O(nodes²), plus
+// membership convergence and tail recovery while every schedule so far
+// has been recoverable. The final verdicts re-run the full suite
+// (conservation and liveness need the post-drain counters) over the
+// whole run.
 
 // SoakOptions configures one soak run.
 type SoakOptions struct {
@@ -140,7 +141,7 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 		checkpoints = append(checkpoints, time.Duration(c)*cycleLen)
 	}
 
-	events := &obs.EventLog{}
+	events := &EventFold{}
 	recoverable := true
 	h := obs.Harness{
 		Seed:        deriveSeed(opt.Seed, 0),
@@ -163,9 +164,9 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 			recoverable = recoverable && p.RecoverableSchedule(v, sched)
 			// Judge the cycle through the standard oracle interface: an
 			// Observation snapshot whose horizon is this boundary. The
-			// continuously checkable oracles fold over the cumulative
-			// event log; membership and recovery read the live inventory
-			// and timeline, gated by the cumulative recoverable flag (an
+			// continuously checkable oracles read the live event fold;
+			// membership and recovery read the live inventory and
+			// timeline, gated by the cumulative recoverable flag (an
 			// unrecoverable cycle degrades every later one by design).
 			o := &Observation{
 				Version:      v,
@@ -175,7 +176,7 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 				Horizon:      end,
 				BaselineTail: rep.BaselineTail,
 				Timeline:     run.Rec.Timeline(),
-				Events:       events.Events,
+				Events:       events,
 				Inventory:    run.Deployment.Inventory(),
 			}
 			suite := []Oracle{wellFormed{}, evictSend{}, crashAdmit{}}
@@ -200,7 +201,7 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 
 	// Final judgement: the whole run as one observation, under the
 	// oracles whose invariants span it — conservation and liveness need
-	// the drained counters, the trace folds re-check the complete log.
+	// the drained counters, the trace oracles read the complete fold.
 	final := observe(Observation{
 		Version: v,
 		Seed:    opt.Seed,

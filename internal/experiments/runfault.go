@@ -74,8 +74,8 @@ func TracePath(dir string, v press.Version, ft faults.Type) string {
 
 // RunFaultTrace is RunFault with an explicit trace sink (nil disables
 // tracing, as does RunFault with an empty TraceDir). The sink receives
-// the run's complete deterministic event stream; tests pass a
-// trace.Recorder or an in-memory trace.JSON here.
+// the run's complete deterministic event stream; tests pass an
+// in-memory sink here.
 //
 // The run itself is one obs.Harness configuration: the experiment layer
 // only decides the schedule (a single fault at TargetNode after the

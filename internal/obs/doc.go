@@ -32,10 +32,11 @@
 // Concrete probes: Throughput (the per-second timeline and marks),
 // Latency (end-to-end per-request histograms), Hops (per-hop
 // decomposition — accept-queue / forward / serve — correlated from the
-// trace's request spans), QueueDepth (send-path queue-depth counters),
-// and EventLog (the full event stream, for the chaos oracles).
+// trace's request spans) and QueueDepth (send-path queue-depth
+// counters); chaos.EventFold, from outside, folds the stream for the
+// chaos oracles as it arrives. No probe keeps a copy of the run.
 //
 // The harness feeds every probe-registered sink, in registration order,
-// before the external Harness.Sink — so an in-memory recorder and a JSON
-// trace file see the same stream in the same order.
+// before the external Harness.Sink — so a probe's tee and a JSON trace
+// file see the same stream in the same order.
 package obs

@@ -1,12 +1,21 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"vivo/internal/faults"
 	"vivo/internal/press"
+	"vivo/internal/trace"
 )
+
+// teeProbe keeps every event its tee sees, for comparing the probe
+// stream with the external sink's.
+type teeProbe struct{ trace.Recorder }
+
+func (p *teeProbe) Attach(rt *Runtime) { rt.Tee(&p.Recorder) }
+func (p *teeProbe) Finalize(*Run)      {}
 
 // quickHarness is a small deterministic run: 4 nodes at a light load,
 // short horizon, with an optional node-crash mid-run.
@@ -42,7 +51,7 @@ func TestProbesDoNotPerturbTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	instrumented, err := h.Run(
-		&Throughput{}, &Latency{}, &EventLog{}, &QueueDepth{}, &Hops{},
+		&Throughput{}, &Latency{}, &teeProbe{}, &QueueDepth{}, &Hops{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -157,15 +166,23 @@ func TestQueueDepthObservesCongestion(t *testing.T) {
 	}
 }
 
+// A probe's tee and the external Harness.Sink see the same stream, event
+// for event, in the same order (the contract in doc.go).
 func TestEventLogMatchesExternalSink(t *testing.T) {
 	h := quickHarness(true)
-	el := &EventLog{}
-	run, err := h.Run(el)
+	external := trace.NewRecorder()
+	h.Sink = external
+	tee := &teeProbe{}
+	run, err := h.Run(tee)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(el.Events.Events()) == 0 {
-		t.Fatal("event log empty on a traced run")
+	if tee.Len() == 0 {
+		t.Fatal("probe tee saw no events on a traced run")
+	}
+	if !reflect.DeepEqual(tee.Events(), external.Events()) {
+		t.Fatalf("probe tee saw %d events, external sink %d; the streams differ",
+			tee.Len(), external.Len())
 	}
 	if run.End != h.LoadFor {
 		t.Fatalf("run.End = %v, want %v", run.End, h.LoadFor)

@@ -41,23 +41,6 @@ func (p *Latency) Attach(rt *Runtime) {
 // Finalize implements Probe.
 func (p *Latency) Finalize(*Run) {}
 
-// EventLog retains the run's complete event stream in memory — the
-// chaos oracles' view. It is a plain tee of the trace, so a run with an
-// event log is event-for-event identical to one without.
-type EventLog struct {
-	// Events is the recorder, usable once Attach ran.
-	Events *trace.Recorder
-}
-
-// Attach implements Probe.
-func (p *EventLog) Attach(rt *Runtime) {
-	p.Events = trace.NewRecorder()
-	rt.Tee(p.Events)
-}
-
-// Finalize implements Probe.
-func (p *EventLog) Finalize(*Run) {}
-
 // QueueDepth aggregates the send-path queue-depth counter events into
 // per-series maxima and sample counts: EvOutQ (the kernel-buffer
 // engine's FIFO) and EvPeerQ (the credit engine's total deferred
