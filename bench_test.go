@@ -410,6 +410,7 @@ func BenchmarkSubstrateTCP(b *testing.B) {
 	if src == nil {
 		b.Fatal("no connection")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := src.Send(comm.SendParams{Msg: comm.Message{Kind: 1, Size: 8192}}); err != nil {
@@ -444,6 +445,7 @@ func BenchmarkSubstrateVIA(b *testing.B) {
 	if src == nil {
 		b.Fatal("no VI")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := src.Send(comm.SendParams{Msg: comm.Message{Kind: 1, Size: 8192}}, true); err != nil {
@@ -456,3 +458,27 @@ func BenchmarkSubstrateVIA(b *testing.B) {
 	}
 	b.ReportMetric(float64(k.Steps())/float64(b.N), "events/msg")
 }
+
+// BenchmarkDeploymentSetup measures what every Quick-scale run pays
+// before its first request: building a TCP-PRESS-HB deployment, starting
+// its servers, warming caches and directories, and building the request
+// trace.
+func BenchmarkDeploymentSetup(b *testing.B) {
+	cfg := benchOpt.Config(press.TCPPressHB)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := sim.New(1)
+		d := press.NewDeployment(k, cfg)
+		d.Start()
+		d.WarmStart()
+		setupTrace = workload.NewTrace(workload.TraceConfig{
+			Files:    cfg.WorkingSetFiles,
+			FileSize: int(cfg.FileSize),
+			ZipfS:    1.2,
+		}, k.Rand())
+	}
+}
+
+// setupTrace keeps BenchmarkDeploymentSetup's last trace reachable, so
+// the compiler cannot drop the call that builds it.
+var setupTrace *workload.Trace

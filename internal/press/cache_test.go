@@ -1,6 +1,8 @@
 package press
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -230,6 +232,148 @@ func TestCostModelCalibrationIdentity(t *testing.T) {
 		paper := Table1Throughput(v)
 		if capacity < paper*0.93 || capacity > paper*1.07 {
 			t.Errorf("%v: analytic capacity %.0f vs paper %.0f", v, capacity, paper)
+		}
+	}
+}
+
+// refCache is the reference model for the differential test: a map for
+// membership and a slice in recency order (most recent first), with the
+// pinning rules of Cache restated over it.
+type refCache struct {
+	capacity int
+	fileSize int64
+	pin      *osmodel.OS
+	in       map[int]bool
+	order    []int
+}
+
+func (r *refCache) touch(f int) bool {
+	if !r.in[f] {
+		return false
+	}
+	i := slices.Index(r.order, f)
+	r.order = slices.Insert(slices.Delete(r.order, i, i+1), 0, f)
+	return true
+}
+
+func (r *refCache) evictLRU(evicted *[]int) bool {
+	if len(r.order) == 0 {
+		return false
+	}
+	f := r.order[len(r.order)-1]
+	r.order = r.order[:len(r.order)-1]
+	delete(r.in, f)
+	if r.pin != nil {
+		r.pin.Unpin(r.fileSize)
+	}
+	*evicted = append(*evicted, f)
+	return true
+}
+
+func (r *refCache) insert(f int) (evicted []int, ok bool) {
+	if r.touch(f) {
+		return nil, true
+	}
+	for len(r.order) >= r.capacity && r.evictLRU(&evicted) {
+	}
+	if r.pin != nil {
+		for r.pin.Pin(r.fileSize) != nil {
+			if !r.evictLRU(&evicted) {
+				return evicted, false
+			}
+		}
+	}
+	r.in[f] = true
+	r.order = slices.Insert(r.order, 0, f)
+	return evicted, true
+}
+
+func (r *refCache) drop(f int) bool {
+	if !r.in[f] {
+		return false
+	}
+	delete(r.in, f)
+	i := slices.Index(r.order, f)
+	r.order = slices.Delete(r.order, i, i+1)
+	if r.pin != nil {
+		r.pin.Unpin(r.fileSize)
+	}
+	return true
+}
+
+func (r *refCache) dropAll() {
+	if r.pin != nil {
+		r.pin.Unpin(int64(len(r.order)) * r.fileSize)
+	}
+	clear(r.in)
+	r.order = r.order[:0]
+}
+
+// Differential test: random Insert/Touch/Drop/DropAll sequences, with
+// pinning failures from a moving pin threshold and file ids beyond the
+// reserved range, leave Cache and the reference model in the same state
+// and produce the same eviction lists.
+func TestCacheMatchesReferenceModel(t *testing.T) {
+	const reserved, fileSize = 64, 8192
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := sim.New(seed)
+		hw := cluster.New(k, cluster.DefaultConfig())
+		var pinC, pinR *osmodel.OS
+		if seed%2 == 0 { // zero-copy: pin every cached file
+			pinC = osmodel.New(k, hw.Node(0), 40*fileSize)
+			pinR = osmodel.New(k, hw.Node(1), 40*fileSize)
+		}
+		capacity := 8 + rng.Intn(48)
+		c := NewCache(int64(capacity)*fileSize, fileSize, pinC)
+		c.reserve(reserved)
+		ref := &refCache{capacity: capacity, fileSize: fileSize, pin: pinR, in: map[int]bool{}}
+		for op := 0; op < 3000; op++ {
+			f := rng.Intn(3 * reserved) // a third of the ids are reserved
+			switch x := rng.Intn(100); {
+			case x < 50:
+				ev, ok := c.Insert(f)
+				wantEv, wantOK := ref.insert(f)
+				if ok != wantOK || !slices.Equal(ev, wantEv) {
+					t.Fatalf("seed %d op %d: Insert(%d) = %v, %v; want %v, %v", seed, op, f, ev, ok, wantEv, wantOK)
+				}
+			case x < 80:
+				if got, want := c.Touch(f), ref.touch(f); got != want {
+					t.Fatalf("seed %d op %d: Touch(%d) = %v, want %v", seed, op, f, got, want)
+				}
+			case x < 95:
+				if got, want := c.Drop(f), ref.drop(f); got != want {
+					t.Fatalf("seed %d op %d: Drop(%d) = %v, want %v", seed, op, f, got, want)
+				}
+			case x < 97:
+				c.DropAll()
+				ref.dropAll()
+			default: // the pinnable-memory fault moves the threshold
+				if pinC != nil {
+					th := int64(rng.Intn(50)) * fileSize
+					pinC.SetPinThreshold(th)
+					pinR.SetPinThreshold(th)
+				}
+			}
+			if c.Len() != len(ref.order) {
+				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, c.Len(), len(ref.order))
+			}
+			if pinC != nil && pinC.Pinned() != pinR.Pinned() {
+				t.Fatalf("seed %d op %d: pinned %d, want %d", seed, op, pinC.Pinned(), pinR.Pinned())
+			}
+		}
+		// Same contents in the same recency order.
+		for f := 0; f < 3*reserved; f++ {
+			if c.Contains(f) != ref.in[f] {
+				t.Fatalf("seed %d: Contains(%d) = %v, want %v", seed, f, c.Contains(f), ref.in[f])
+			}
+		}
+		var order []int
+		for i := c.head; i != noEntry; i = c.ents[i].next {
+			order = append(order, c.ents[i].file)
+		}
+		if !slices.Equal(order, ref.order) {
+			t.Fatalf("seed %d: recency order %v, want %v", seed, order, ref.order)
 		}
 	}
 }

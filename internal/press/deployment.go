@@ -35,6 +35,8 @@ type Deployment struct {
 	// DaemonEnabled mirrors Mendosus restarting PRESS processes
 	// automatically; tests may disable it.
 	DaemonEnabled bool
+
+	wires []*wire // free list of message payload records (task.go)
 }
 
 // NewDeployment builds the hardware and substrate for cfg. No server
@@ -185,7 +187,7 @@ func (d *Deployment) WarmStart() {
 				continue
 			}
 			if ok {
-				sv.dir[f] |= 1 << uint(owner)
+				sv.dirAdd(f, owner)
 			}
 			for _, ev := range evicted {
 				sv.dirRemove(ev, owner)

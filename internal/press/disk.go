@@ -14,6 +14,17 @@ type Disk struct {
 	service time.Duration
 	free    []sim.Time // per-spindle next-free time
 	queued  int
+
+	reads []*diskRead // free list of completion records
+}
+
+// diskRead is one read in progress. Records are recycled through
+// Disk.reads, and each one's completion callback is bound when it is
+// first made, so a read allocates nothing.
+type diskRead struct {
+	d    *Disk
+	fn   func()
+	done func() // r.complete, bound once
 }
 
 // NewDisk builds a bank of n spindles with the given per-read service time.
@@ -40,10 +51,25 @@ func (d *Disk) Read(fn func()) {
 	done := start + d.service
 	d.free[best] = done
 	d.queued++
-	d.k.At(done, func() {
-		d.queued--
-		fn()
-	})
+	var r *diskRead
+	if n := len(d.reads); n > 0 {
+		r = d.reads[n-1]
+		d.reads[n-1] = nil
+		d.reads = d.reads[:n-1]
+	} else {
+		r = &diskRead{d: d}
+		r.done = r.complete
+	}
+	r.fn = fn
+	d.k.At(done, r.done)
+}
+
+func (r *diskRead) complete() {
+	d, fn := r.d, r.fn
+	r.fn = nil
+	d.reads = append(d.reads, r)
+	d.queued--
+	fn()
 }
 
 // Queued returns the number of reads in progress or waiting.

@@ -40,6 +40,17 @@
 //   - router.go — the request path (routing, forwarding, cache, disk),
 //     identical across versions up to the cost model.
 //
+// The request path allocates nothing per message (task.go). An
+// intra-cluster payload is a *wire record from the deployment's free
+// list: the sender fills one per send call, the receiver copies it out
+// and recycles it as soon as the substrate delivers it, which it does
+// exactly once. CPU and disk work are task records from the server's
+// free list, each with its run callback bound once; a record goes back
+// when its work runs. The cache directory is a slice indexed by file id
+// (ids are dense), sized to the working set and grown for larger ids,
+// and the cache itself is an index-linked LRU over a slice arena, so
+// WarmStart builds no maps.
+//
 // Each layer emits [vivo/internal/trace] events at its decision points
 // (loop blocks, credit deferrals, heartbeat misses, membership changes,
 // the request lifecycle), so a traced run shows exactly which policy did

@@ -3,7 +3,6 @@ package press
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"vivo/internal/comm"
 	"vivo/internal/substrate"
@@ -30,15 +29,8 @@ func (s *Server) reconfigure(x int, announce bool) {
 		pc.Close()
 	}
 	// Flush locality information for the departed node.
-	for f, m := range s.dir {
-		if m&(1<<uint(x)) != 0 {
-			m &^= 1 << uint(x)
-			if m == 0 {
-				delete(s.dir, f)
-			} else {
-				s.dir[f] = m
-			}
-		}
+	for f := range s.dir {
+		s.dir[f] &^= 1 << uint(x)
 	}
 	// Re-dispatch requests that were waiting on the departed service
 	// node; they will be served locally (disk) or by another cacher.
@@ -47,19 +39,9 @@ func (s *Server) reconfigure(x int, announce bool) {
 		p := s.pending[id]
 		if p.svc == x {
 			delete(s.pending, id)
-			req := p.req
-			s.node.CPU.Submit(s.cost.SendSmall, func() {
-				if !s.alive {
-					return
-				}
-				if req.Settled() {
-					if s.inflight > 0 {
-						s.inflight--
-					}
-					return
-				}
-				s.route(req)
-			})
+			t := s.newTask(opRedispatch)
+			t.r = p.req
+			t.submit(s.cost.SendSmall)
 		}
 	}
 	s.engine.dropQueuedTo(x)
@@ -263,14 +245,14 @@ func (s *Server) giveUpJoin() {
 func (s *Server) sendDirect(pc substrate.PeerConn, kind int, w wire, size int) {
 	p := s.params(kind, w, size)
 	if s.interpose != nil {
-		s.interpose(&p)
+		p = s.interposed(p)
 	}
 	err := pc.Send(p)
 	switch {
 	case err == nil:
 	case errors.Is(err, comm.ErrBadDescriptor):
 		// Robust layer rejected a corrupted call; reissue clean.
-		_ = pc.Send(s.params(kind, w, size))
+		_ = pc.Send(comm.SendParams{Msg: p.Msg})
 	case errors.Is(err, comm.ErrEFAULT):
 		s.failFast(err)
 	}
@@ -351,14 +333,13 @@ func (s *Server) handleNodeUp(w wire) {
 // bounded chunks.
 func (s *Server) sendCacheSummary(dst int) {
 	const chunk = 4096
+	// The walk is in ascending id order, so the chunks are too.
 	var files []int
 	for f, m := range s.dir {
 		if m&(1<<uint(s.id)) != 0 {
 			files = append(files, f)
 		}
 	}
-	// Deterministic order for reproducibility.
-	sort.Ints(files)
 	for off := 0; off < len(files); off += chunk {
 		end := off + chunk
 		if end > len(files) {

@@ -17,28 +17,17 @@ import (
 // acceptRequest is called by the deployment when the kernel accepts a
 // client connection for this process.
 func (s *Server) acceptRequest(r *workload.Request) {
-	s.node.CPU.Submit(s.cost.ClientHandle, func() {
-		if !s.alive {
-			s.failReq(r, metrics.Refused, "process down")
-			return
-		}
-		if r.Settled() {
-			return // client gave up while we were queued
-		}
-		s.inflight++
-		s.emitReq(trace.EvReqAdmit, r.ID, int64(r.File), "")
-		s.route(r)
-	})
+	t := s.newTask(opAdmit)
+	t.r = r
+	t.submit(s.cost.ClientHandle)
 }
 
 func (s *Server) route(r *workload.Request) {
 	f := r.File
 	if s.cache.Touch(f) {
-		s.node.CPU.Submit(s.readCost, func() {
-			if s.alive {
-				s.finish(r)
-			}
-		})
+		t := s.newTask(opHit)
+		t.r = r
+		t.submit(s.readCost)
 		return
 	}
 	if svc, ok := s.pickService(f); ok {
@@ -54,20 +43,9 @@ func (s *Server) route(r *workload.Request) {
 	}
 	// We are the home (or the home is down): fetch from the local disk
 	// and start caching.
-	s.disk().Read(func() {
-		if !s.alive {
-			s.failReq(r, metrics.Refused, "process down")
-			return
-		}
-		s.node.CPU.Submit(s.cost.CacheInsert, func() {
-			if !s.alive {
-				s.failReq(r, metrics.Refused, "process down")
-				return
-			}
-			s.insertFile(r.File)
-			s.finish(r)
-		})
-	})
+	t := s.newTask(opFetch)
+	t.r = r
+	s.disk().Read(t.run)
 }
 
 // forward dispatches a client request to a service node.
@@ -80,7 +58,7 @@ func (s *Server) forward(r *workload.Request, svc int) {
 
 // pickService returns the least-loaded member caching f.
 func (s *Server) pickService(f int) (int, bool) {
-	mask := s.dir[f]
+	mask := s.dirMask(f)
 	best, bestLoad, found := 0, 0, false
 	for n := 0; n < s.cfg.Nodes; n++ {
 		if n == s.id || mask&(1<<uint(n)) == 0 || !s.members[n] {
@@ -120,7 +98,7 @@ func (s *Server) insertFile(f int) {
 		s.broadcast(msgCacheEvict, wire{File: ev}, smallMsgSize, s.cost.SendSmall)
 	}
 	if ok {
-		s.dir[f] |= 1 << uint(s.id)
+		s.dirAdd(f, s.id)
 		s.broadcast(msgCacheAdd, wire{File: f}, smallMsgSize, s.cost.SendSmall)
 	}
 }
@@ -132,42 +110,45 @@ func (s *Server) insertFile(f int) {
 // mid-service).
 func (s *Server) handleForward(w wire) {
 	s.emitSpan(trace.PhBegin, trace.EvForwardServe, w.From, w.GID, int64(w.File))
-	reply := func() {
-		s.emitSpan(trace.PhEnd, trace.EvForwardServe, w.From, w.GID, 0)
-		s.send(w.From, msgFileData, wire{ReqID: w.ReqID, GID: w.GID},
-			int(s.cfg.FileSize), s.cost.SendData)
-	}
 	if s.cache.Touch(w.File) {
-		s.node.CPU.Submit(s.readCost, func() {
-			if s.alive {
-				reply()
-			}
-		})
+		t := s.newTask(opServe)
+		t.w = w
+		t.submit(s.readCost)
 		return
 	}
 	// Directory was stale: serve from disk and start caching here.
-	s.disk().Read(func() {
-		if !s.alive {
-			return
-		}
-		s.node.CPU.Submit(s.cost.CacheInsert, func() {
-			if !s.alive {
-				return
-			}
-			s.insertFile(w.File)
-			reply()
-		})
-	})
+	t := s.newTask(opServeFetch)
+	t.w = w
+	s.disk().Read(t.run)
+}
+
+// reply answers the forwarded request w with its file.
+func (s *Server) reply(w wire) {
+	s.emitSpan(trace.PhEnd, trace.EvForwardServe, w.From, w.GID, 0)
+	s.send(w.From, msgFileData, wire{ReqID: w.ReqID, GID: w.GID},
+		int(s.cfg.FileSize), s.cost.SendData)
+}
+
+// dirMask returns the nodes caching file.
+func (s *Server) dirMask(file int) uint8 {
+	if file < len(s.dir) {
+		return s.dir[file]
+	}
+	return 0
+}
+
+// dirAdd records that node caches file, growing the directory for ids
+// past its preset size.
+func (s *Server) dirAdd(file, node int) {
+	if file >= len(s.dir) {
+		s.dir = append(s.dir, make([]uint8, file+1-len(s.dir))...)
+	}
+	s.dir[file] |= 1 << uint(node)
 }
 
 func (s *Server) dirRemove(file, node int) {
-	if m, ok := s.dir[file]; ok {
-		m &^= 1 << uint(node)
-		if m == 0 {
-			delete(s.dir, file)
-		} else {
-			s.dir[file] = m
-		}
+	if file < len(s.dir) {
+		s.dir[file] &^= 1 << uint(node)
 	}
 }
 

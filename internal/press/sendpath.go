@@ -32,9 +32,17 @@ type sendEngine interface {
 
 func newSendEngine(s *Server, fc FlowControl) sendEngine {
 	if fc == UserLevelCredits {
-		return &creditSends{s: s, peerQ: make(map[int][]outMsg)}
+		return &creditSends{s: s, peerQ: make([][]outMsg, s.cfg.Nodes)}
 	}
 	return &blockingSends{s: s}
+}
+
+// interposed returns p as the bad-parameter hook leaves it. It is kept
+// apart from the send paths so that only a hooked call moves its
+// parameters to the heap.
+func (s *Server) interposed(p comm.SendParams) comm.SendParams {
+	s.interpose(&p)
+	return p
 }
 
 // ---- blockingSends: opaque kernel socket buffers (TCP) ----
@@ -74,7 +82,7 @@ func (e *blockingSends) trySend(m *outMsg) bool {
 	}
 	p := m.params
 	if s.interpose != nil {
-		s.interpose(&p)
+		p = s.interposed(p)
 	}
 	err := pc.Send(p)
 	switch {
@@ -118,21 +126,21 @@ func (e *blockingSends) onWritable(int) { e.drainOut() }
 func (e *blockingSends) kick() { e.drainOut() }
 
 // drainOut sends from the head of outQ, popping each message only once
-// the substrate has accepted it.
+// the substrate has accepted it. Sent messages are compacted away in
+// place, so the queue keeps its storage for the next stall.
 func (e *blockingSends) drainOut() {
-	popped := false
-	for len(e.outQ) > 0 {
-		popped = true
-		if !e.trySend(&e.outQ[0]) {
+	popped := len(e.outQ) > 0
+	for i := 0; i < len(e.outQ); i++ {
+		if !e.trySend(&e.outQ[i]) {
+			e.outQ = dropSent(e.outQ, i)
 			e.stall(e.outQ[0].dst)
 			return // re-blocked with the message still at the head
 		}
 		if !e.s.alive {
 			return // teardown has already reset the queue
 		}
-		e.outQ[0] = outMsg{}
-		e.outQ = e.outQ[1:]
 	}
+	e.outQ = dropSent(e.outQ, len(e.outQ))
 	if popped {
 		e.s.emitDepth(trace.EvOutQ, 0)
 	}
@@ -161,7 +169,16 @@ func (e *blockingSends) reset() {
 		e.blocked = false
 		e.s.node.CPU.Unblock()
 	}
-	e.outQ = nil
+	e.outQ = dropSent(e.outQ, len(e.outQ))
+}
+
+// dropSent removes the first n messages of q in place, keeping its
+// storage: reslicing from the front would shed the capacity, and the next
+// stall's append would reallocate the queue.
+func dropSent(q []outMsg, n int) []outMsg {
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
 }
 
 // ---- creditSends: user-level credit flow control (VIA) ----
@@ -177,7 +194,7 @@ const peerQCap = 1024
 // ride out peer stalls better than TCP.
 type creditSends struct {
 	s     *Server
-	peerQ map[int][]outMsg
+	peerQ [][]outMsg // per destination node
 }
 
 func (e *creditSends) transmitOrQueue(dst int, p comm.SendParams) {
@@ -199,8 +216,7 @@ func (e *creditSends) pushPeer(m outMsg) {
 }
 
 // total is the deferred backlog across all peers (the EvPeerQ counter
-// series; summing a map is order-independent, so tracing stays
-// deterministic).
+// series).
 func (e *creditSends) total() int {
 	n := 0
 	for _, q := range e.peerQ {
@@ -220,7 +236,7 @@ func (e *creditSends) trySend(m outMsg) bool {
 	}
 	p := m.params
 	if s.interpose != nil {
-		s.interpose(&p)
+		p = s.interposed(p)
 	}
 	err := pc.Send(p)
 	switch {
@@ -247,47 +263,55 @@ func (e *creditSends) onWritable(dst int) { e.drainPeer(dst) }
 func (e *creditSends) kick() {}
 
 // drainPeer sends from the head of dst's queue, popping each message
-// only once the substrate has accepted it.
+// only once the substrate has accepted it; sent messages are compacted
+// away in place, so the queue keeps its storage for the next stall.
 func (e *creditSends) drainPeer(dst int) {
-	s := e.s
-	if len(e.peerQ[dst]) > 0 {
-		defer func() { e.s.emitDepth(trace.EvPeerQ, e.total()) }()
+	if len(e.peerQ[dst]) == 0 {
+		return
 	}
-	for q := e.peerQ[dst]; len(q) > 0; q = e.peerQ[dst] {
-		m := &q[0]
+	e.sendQueued(dst)
+	e.s.emitDepth(trace.EvPeerQ, e.total())
+}
+
+func (e *creditSends) sendQueued(dst int) {
+	s := e.s
+	i := 0
+	for ; i < len(e.peerQ[dst]); i++ {
+		m := &e.peerQ[dst][i]
 		pc := s.conns[dst]
 		if pc == nil || !pc.Established() {
-			delete(e.peerQ, dst)
-			return
+			i = len(e.peerQ[dst])
+			break
 		}
 		p := m.params
 		if s.interpose != nil {
-			s.interpose(&p)
+			p = s.interposed(p)
 		}
 		err := pc.Send(p)
 		if errors.Is(err, comm.ErrWouldBlock) {
-			return // keep it at the head; wait for the next writable signal
+			break // keep it at the head; wait for the next writable signal
 		}
 		if !s.alive {
 			return // teardown has already reset the queues
 		}
 		if errors.Is(err, comm.ErrBadDescriptor) && !m.retried {
 			m.retried = true // reissue it once, still at the head
-			continue
+			i--
 		}
-		q[0] = outMsg{}
-		e.peerQ[dst] = q[1:]
 	}
-	delete(e.peerQ, dst)
+	e.peerQ[dst] = dropSent(e.peerQ[dst], i)
 }
 
 func (e *creditSends) dropQueuedTo(dst int) {
-	if len(e.peerQ[dst]) > 0 {
-		delete(e.peerQ, dst)
+	queued := len(e.peerQ[dst]) > 0
+	e.peerQ[dst] = dropSent(e.peerQ[dst], len(e.peerQ[dst]))
+	if queued {
 		e.s.emitDepth(trace.EvPeerQ, e.total())
-		return
 	}
-	delete(e.peerQ, dst)
 }
 
-func (e *creditSends) reset() { e.peerQ = make(map[int][]outMsg) }
+func (e *creditSends) reset() {
+	for dst, q := range e.peerQ {
+		e.peerQ[dst] = dropSent(q, len(q))
+	}
+}

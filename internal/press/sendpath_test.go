@@ -83,7 +83,7 @@ func TestCreditSendsKeepStalledHeadInPlace(t *testing.T) {
 	wb := comm.ErrWouldBlock
 	pc := &scriptedConn{script: []error{wb, wb, comm.ErrBadDescriptor, wb}}
 	s := engineServer(pc)
-	e := &creditSends{s: s, peerQ: map[int][]outMsg{}}
+	e := &creditSends{s: s, peerQ: make([][]outMsg, 2)}
 	for kind := 0; kind < 3; kind++ {
 		e.transmitOrQueue(1, sendParams(kind))
 	}
@@ -100,7 +100,58 @@ func TestCreditSendsKeepStalledHeadInPlace(t *testing.T) {
 	if want := []int{0, 1, 2}; !slices.Equal(pc.sent, want) {
 		t.Fatalf("sent %v, want %v", pc.sent, want)
 	}
-	if _, ok := e.peerQ[1]; ok {
-		t.Fatal("drained queue still present")
+	if len(e.peerQ[1]) != 0 {
+		t.Fatal("drained queue still holds messages")
+	}
+}
+
+// stallConn pushes back while stalled and accepts everything otherwise.
+type stallConn struct {
+	stalled bool
+	sent    int
+}
+
+func (c *stallConn) Remote() int                 { return 1 }
+func (c *stallConn) Established() bool           { return true }
+func (c *stallConn) Close()                      {}
+func (c *stallConn) Bind(cb substrate.Callbacks) {}
+func (c *stallConn) Send(p comm.SendParams) error {
+	if c.stalled {
+		return comm.ErrWouldBlock
+	}
+	c.sent++
+	return nil
+}
+
+// A drained queue keeps its storage: after one stall-and-drain cycle, a
+// second stall of the same depth queues without allocating.
+func TestSendQueuesKeepStorageAcrossStalls(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine func(*Server) sendEngine
+	}{
+		{"blocking", func(s *Server) sendEngine { return &blockingSends{s: s} }},
+		{"credit", func(s *Server) sendEngine { return &creditSends{s: s, peerQ: make([][]outMsg, 2)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pc := &stallConn{}
+			s := engineServer(pc)
+			e := tc.engine(s)
+			cycle := func() {
+				pc.stalled = true
+				for kind := 0; kind < 8; kind++ {
+					e.transmitOrQueue(1, sendParams(kind))
+				}
+				pc.stalled = false
+				e.onWritable(1)
+			}
+			cycle()
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				t.Fatalf("a repeated stall allocates %.1f times", allocs)
+			}
+			if pc.sent != 8*12 || s.node.CPU.Blocked() {
+				t.Fatalf("sent %d of %d, CPU blocked = %v", pc.sent, 8*12, s.node.CPU.Blocked())
+			}
+		})
 	}
 }

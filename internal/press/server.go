@@ -32,7 +32,9 @@ const (
 )
 
 // wire is the payload of every intra-cluster message. Load is piggybacked
-// on all messages, as in PRESS.
+// on all messages, as in PRESS. It travels in comm.Message.Payload as a
+// *wire from the deployment's free list (see task.go): the sender fills a
+// record per send call, and the receiver copies it out and recycles it.
 type wire struct {
 	From  int
 	ReqID uint64
@@ -94,9 +96,12 @@ type Server struct {
 	joinPending map[int]substrate.PeerConn
 
 	cache *Cache
-	// dir maps file -> bitmask of caching nodes (cluster size <= 8).
-	dir      map[int]uint8
-	loads    map[int]int
+	// dir maps file id -> bitmask of caching nodes (cluster size <= 8).
+	// File ids are dense, so it is a slice sized to the working set that
+	// grows on demand for larger ids (a replayed log may exceed it).
+	dir []uint8
+	// loads is each node's last piggybacked in-flight count.
+	loads    []int
 	inflight int
 
 	pending   map[uint64]pendingFwd
@@ -121,6 +126,8 @@ type Server struct {
 	// closure only inside their proc.Stopped() branch: built before the
 	// test, it would be heap-allocated on every message.
 	deferred []func()
+
+	tasks []*task // free list of CPU/disk task records (task.go)
 }
 
 // newServer constructs and starts a PRESS process on node id. bootstrap
@@ -143,8 +150,8 @@ func newServer(d *Deployment, id int, proc *osmodel.Process, bootstrap bool) *Se
 		members:     map[int]bool{id: true},
 		conns:       make(map[int]substrate.PeerConn),
 		joinPending: make(map[int]substrate.PeerConn),
-		dir:         make(map[int]uint8),
-		loads:       make(map[int]int),
+		dir:         make([]uint8, cfg.WorkingSetFiles),
+		loads:       make([]int, cfg.Nodes),
 		pending:     make(map[uint64]pendingFwd),
 	}
 	s.readCost = s.cost.CacheRead
@@ -159,6 +166,7 @@ func newServer(d *Deployment, id int, proc *osmodel.Process, bootstrap bool) *Se
 		pinOS = s.os
 	}
 	s.cache = NewCache(cfg.CacheBytes, cfg.FileSize, pinOS)
+	s.cache.reserve(cfg.WorkingSetFiles)
 
 	proc.OnExit(func(killed bool) { s.teardown() })
 	proc.OnCont(func() { s.runDeferred() })
@@ -449,18 +457,19 @@ func (s *Server) onWritable(pc substrate.PeerConn) {
 // send charges the CPU cost and then posts the message through the
 // engine's (possibly blocking) send path.
 func (s *Server) send(dst, kind int, w wire, size int, cost time.Duration) {
-	s.node.CPU.Submit(cost, func() {
-		if !s.alive {
-			return
-		}
-		s.engine.transmitOrQueue(dst, s.params(kind, w, size))
-	})
+	t := s.newTask(opSend)
+	t.dst, t.kind, t.w, t.size = dst, kind, w, size
+	t.submit(cost)
 }
 
+// params builds one send call's parameters around a fresh payload record
+// holding w, stamped with this node's id and current load.
 func (s *Server) params(kind int, w wire, size int) comm.SendParams {
-	w.From = s.id
-	w.Load = s.inflight
-	return comm.SendParams{Msg: comm.Message{Kind: kind, Size: size, Payload: w}}
+	pw := s.d.newWire()
+	*pw = w
+	pw.From = s.id
+	pw.Load = s.inflight
+	return comm.SendParams{Msg: comm.Message{Kind: kind, Size: size, Payload: pw}}
 }
 
 func (s *Server) broadcast(kind int, w wire, size int, cost time.Duration) {
@@ -485,16 +494,20 @@ func (s *Server) onMessage(pc substrate.PeerConn, d substrate.Delivered) {
 		s.deferred = append(s.deferred, func() { s.onMessage(pc, d) })
 		return
 	}
-	w, ok := d.Msg.Payload.(wire)
+	pw, ok := d.Msg.Payload.(*wire)
 	if !ok {
 		d.Release()
 		return
 	}
+	// Copy the message out: Release recycles the delivery record, and
+	// the payload record goes back on its free list at once.
+	kind, corrupt, w := d.Msg.Kind, d.Corrupt, *pw
+	s.d.freeWire(pw)
 	// Drained promptly by the helper thread, independent of the main
 	// loop; processing backlog lives in the application, not the kernel.
 	d.Release()
 	s.loads[w.From] = w.Load
-	switch d.Msg.Kind {
+	switch kind {
 	case msgHeartbeat:
 		// Handled by the heartbeat thread directly: heartbeat receipt
 		// must not depend on the (possibly blocked) main loop.
@@ -504,22 +517,12 @@ func (s *Server) onMessage(pc substrate.PeerConn, d substrate.Delivered) {
 		s.reconfigure(w.Node, false)
 	default:
 		cost := s.cost.RecvSmall
-		if d.Msg.Kind == msgFileData || d.Msg.Kind == msgCacheSummary {
+		if kind == msgFileData || kind == msgCacheSummary {
 			cost = s.cost.RecvData
 		}
-		s.node.CPU.Submit(cost, func() {
-			if !s.alive {
-				return
-			}
-			if d.Corrupt {
-				// Garbage payload (off-by-N pointer upstream):
-				// the parser trips over it and the process
-				// fail-fasts.
-				s.failFast(comm.ErrStreamCorrupt)
-				return
-			}
-			s.handleMsg(pc, d.Msg.Kind, w)
-		})
+		t := s.newTask(opRecv)
+		t.pc, t.kind, t.corrupt, t.w = pc, kind, corrupt, w
+		t.submit(cost)
 	}
 }
 
@@ -533,7 +536,7 @@ func (s *Server) handleMsg(pc substrate.PeerConn, kind int, w wire) {
 			s.finish(p.req)
 		}
 	case msgCacheAdd:
-		s.dir[w.File] |= 1 << uint(w.From)
+		s.dirAdd(w.File, w.From)
 	case msgCacheEvict:
 		s.dirRemove(w.File, w.From)
 	case msgJoinReq:
@@ -544,7 +547,7 @@ func (s *Server) handleMsg(pc substrate.PeerConn, kind int, w wire) {
 		s.handleNodeUp(w)
 	case msgCacheSummary:
 		for _, f := range w.Files {
-			s.dir[f] |= 1 << uint(w.From)
+			s.dirAdd(f, w.From)
 		}
 	}
 }

@@ -54,10 +54,26 @@
 // field), a TCP connection one RTO callback, the client workload one
 // Poisson arrival. An owner with many events pending keeps a free list of
 // records, each with its callbacks bound when the record is first made:
-// packets in flight in the cluster, pending messages in a VIA interface.
-// A record goes back on its list only once its event has fired or been
-// cancelled, so a stale event never runs against a reused record. Tests
-// pin these paths at zero allocations with testing.AllocsPerRun.
+// packets in flight in the cluster, pending messages in a VIA interface,
+// VIA deliveries awaiting their delivery time, disk reads, the PRESS
+// server's CPU tasks and the clients' request timeouts. A record goes
+// back on its list only once its event has fired or been cancelled, so a
+// stale event never runs against a reused record.
+//
+// The same lists carry data that would otherwise be boxed into an
+// interface per message. A pointer stored in an `any` allocates nothing,
+// so protocol frames, delivery records and application payloads travel
+// as pointers to recycled records: a frame is owned by the stack or NIC
+// that sent it, a delivery by the receiver, a PRESS payload by the
+// deployment. Whoever consumes a record copies out what it still needs
+// and only then returns it (a handler it calls may take the same record
+// for its own next message); the record must be one nothing can reach
+// any more, so a message the protocol may deliver again cannot have its
+// payload recycled. A record dropped on a failure path — a packet lost
+// in the fabric, work discarded by a crash — is simply left to the
+// garbage collector. Tests pin these paths with testing.AllocsPerRun:
+// zero allocations per message on either substrate, and only the
+// workload.Request itself per served client request.
 //
 // # Observability
 //

@@ -24,6 +24,16 @@
 // (the service core imports only this package, never a protocol
 // simulator directly).
 //
+// # Delivery records
+//
+// A [Delivered] is valid from the OnMessage call until the service calls
+// its Release, and no longer: Buf is the substrate's delivery record,
+// which Release hands back to a free list for the next message. A
+// service that reads a message after releasing it (its kind, its payload,
+// the Corrupt flag inside a deferred task) copies those out first. Each
+// message is delivered exactly once, so once a service has read a
+// payload it may recycle that too.
+//
 // # Tracing
 //
 // Adapters thread the stack's event tracing through two helpers:

@@ -8,14 +8,24 @@ import (
 )
 
 // Delivered is one substrate-independent received message. Corrupt marks
-// a payload damaged in flight (e.g. an off-by-N pointer upstream);
-// Release returns the receive buffer to the substrate and must be called
-// exactly once.
+// a payload damaged in flight (e.g. an off-by-N pointer upstream).
+//
+// Buf is the substrate's own record of the delivery, recycled through a
+// free list: a Delivered is valid from the OnMessage call until Release,
+// which returns the receive buffer to the substrate, hands the record
+// back, and must be called exactly once. A service copies out whatever it
+// reads after Release (Msg, Corrupt) before calling it.
 type Delivered struct {
 	Msg     comm.Message
 	Corrupt bool
-	Release func()
+	Buf     Releaser
 }
+
+// Releaser is a substrate's delivery record.
+type Releaser interface{ Release() }
+
+// Release returns the receive buffer to the substrate.
+func (d Delivered) Release() { d.Buf.Release() }
 
 // Callbacks is the event interface a service binds to each channel.
 type Callbacks struct {

@@ -84,7 +84,7 @@ func (tc *conn) Bind(cb substrate.Callbacks) {
 	cb = substrate.TraceBind(tc.k, tc.node, cb)
 	tc.c.Handler = tcpsim.Handler{
 		OnMessage: func(_ *tcpsim.Conn, d *tcpsim.Delivered) {
-			cb.OnMessage(tc, substrate.Delivered{Msg: d.Msg, Corrupt: d.Corrupt, Release: d.Release})
+			cb.OnMessage(tc, substrate.Delivered{Msg: d.Msg, Corrupt: d.Corrupt, Buf: d})
 		},
 		OnWritable: func(*tcpsim.Conn) { cb.OnWritable(tc) },
 		OnBreak:    func(_ *tcpsim.Conn, err error) { cb.OnBreak(tc, err) },

@@ -90,7 +90,7 @@ func (vc *conn) Bind(cb substrate.Callbacks) {
 	cb = substrate.TraceBind(vc.k, vc.node, cb)
 	vc.v.Handler = viasim.Handler{
 		OnMessage: func(_ *viasim.VI, d *viasim.Delivered) {
-			cb.OnMessage(vc, substrate.Delivered{Msg: d.Msg, Corrupt: d.Corrupt, Release: d.Release})
+			cb.OnMessage(vc, substrate.Delivered{Msg: d.Msg, Corrupt: d.Corrupt, Buf: d})
 		},
 		OnWritable: func(*viasim.VI) { cb.OnWritable(vc) },
 		OnBreak:    func(_ *viasim.VI, err error) { cb.OnBreak(vc, err) },

@@ -50,28 +50,32 @@ type Handler struct {
 	OnFatal func(c *Conn, err error)
 }
 
-// Delivered is one application message handed to OnMessage.
+// Delivered is one application message handed to OnMessage. It is a
+// record from the receiving stack's free list: it stays valid until the
+// application calls Release, which hands it back for the next delivery.
 type Delivered struct {
 	Msg     comm.Message
 	Corrupt bool
 
 	conn  *Conn
 	bytes int64
-	freed bool
 }
 
 // Release frees this message's receive-buffer space. The application calls
 // it when it finishes processing the message; until then the space counts
 // against the advertised window, which is how a stopped or overloaded
 // application throttles (and eventually freezes) its peers. Releases may
-// happen in any order; duplicate calls are ignored.
+// happen in any order. Release recycles d, so the application must copy
+// out anything it still needs first; a second call before d is reused is
+// ignored.
 func (d *Delivered) Release() {
-	if d.freed || d.conn == nil {
+	c := d.conn
+	if c == nil {
 		return
 	}
-	d.freed = true
-	c := d.conn
 	c.consumed += d.bytes
+	*d = Delivered{}
+	c.s.delivs = append(c.s.delivs, d)
 	if c.state != stEstablished {
 		return
 	}
@@ -90,10 +94,10 @@ type Conn struct {
 	Handler Handler
 
 	// --- sender side ---
-	sendQ      []*record // queued, not yet fully acked
-	sndEnd     int64     // stream offset one past everything queued
-	sndNext    int64     // next byte to transmit
-	sndUna     int64     // oldest unacknowledged byte
+	sendQ      []record // queued, not yet fully acked, in stream order
+	sndEnd     int64    // stream offset one past everything queued
+	sndNext    int64    // next byte to transmit
+	sndUna     int64    // oldest unacknowledged byte
 	peerWindow int64
 	rto        time.Duration
 	rtoTimer   sim.Event
@@ -103,9 +107,9 @@ type Conn struct {
 	skbufWait  sim.Event
 
 	// --- receiver side ---
-	rcvNext       int64     // next expected stream byte
-	consumed      int64     // stream bytes released by the application
-	pendingRecs   []*record // records completed but not yet delivered
+	rcvNext       int64    // next expected stream byte
+	consumed      int64    // stream bytes released by the application
+	pendingRecs   []record // records completed but not yet delivered
 	lastAdvWin    int64
 	desynced      bool
 	fatalSignaled bool
@@ -175,17 +179,16 @@ func (c *Conn) Send(p comm.SendParams) error {
 		c.armSKBufRetry()
 		return comm.ErrWouldBlock
 	}
-	rec := &record{
+	c.sndEnd += wire
+	c.sendQ = append(c.sendQ, record{
 		msgKind:      p.Msg.Kind,
 		payload:      p.Msg.Payload,
 		declaredSize: p.Msg.Size,
 		wireSize:     int(wire),
+		end:          c.sndEnd,
 		corrupt:      p.PtrOffset != 0,
 		declMismatch: p.SizeOffset != 0,
-	}
-	c.sndEnd += wire
-	rec.end = c.sndEnd
-	c.sendQ = append(c.sendQ, rec)
+	})
 	c.pump()
 	return nil
 }
@@ -248,23 +251,18 @@ func (c *Conn) pump() {
 }
 
 // transmitSegment sends stream bytes [from, from+length) plus the records
-// that end inside that range.
+// that end inside that range: a run of sendQ, which is in stream order.
 func (c *Conn) transmitSegment(from, length int64) bool {
-	var recs []*record
-	for _, r := range c.sendQ {
-		if r.end > from && r.end <= from+length {
-			recs = append(recs, r)
-		}
+	i := 0
+	for i < len(c.sendQ) && c.sendQ[i].end <= from {
+		i++
 	}
-	f := frame{
-		kind:    frameDATA,
-		connID:  c.id,
-		src:     c.s.nd.ID,
-		seq:     from,
-		length:  length,
-		records: recs,
+	j := i
+	for j < len(c.sendQ) && c.sendQ[j].end <= from+length {
+		j++
 	}
-	return c.s.transmit(c.remote, f, int(length)+c.s.cfg.SegHeader)
+	h := header{kind: frameDATA, connID: c.id, src: c.s.nd.ID, seq: from, length: length}
+	return c.s.transmit(c.remote, h, c.sendQ[i:j], int(length)+c.s.cfg.SegHeader)
 }
 
 func (c *Conn) armRTO() {
@@ -309,7 +307,7 @@ func (c *Conn) rtoFired() {
 	c.armRTO()
 }
 
-func (c *Conn) handleAck(f frame) {
+func (c *Conn) handleAck(f *frame) {
 	c.peerWindow = f.window
 	if f.ackSeq > c.sndUna {
 		c.sndUna = f.ackSeq
@@ -337,7 +335,7 @@ func (c *Conn) recvBufFree() int64 {
 	return int64(c.s.cfg.RecvBufCap) - (c.rcvNext - c.consumed)
 }
 
-func (c *Conn) handleData(f frame) {
+func (c *Conn) handleData(f *frame) {
 	if f.seq > c.rcvNext {
 		// A gap: preceding bytes were lost. The sender's go-back-N
 		// retransmission will resend in order; ignore and re-ack.
@@ -356,35 +354,31 @@ func (c *Conn) handleData(f frame) {
 		c.sendAck()
 		return
 	}
+	// Only records ending in the fresh bytes are new. One ending at or
+	// before the old rcvNext rides a retransmitted segment that starts
+	// before it: it was already delivered, and delivering it again
+	// would hand the application a message (and payload) twice.
+	prev := c.rcvNext
 	c.rcvNext = end
-	for _, r := range f.records {
-		if r.end <= c.rcvNext {
-			c.enqueueRecord(r)
+	for _, r := range f.recs {
+		if r.end > prev {
+			c.pendingRecs = append(c.pendingRecs, r)
 		}
 	}
 	c.sendAck()
 	c.deliver()
 }
 
-func (c *Conn) enqueueRecord(r *record) {
-	for _, p := range c.pendingRecs {
-		if p == r || p.end == r.end {
-			return // duplicate via retransmission
-		}
-	}
-	c.pendingRecs = append(c.pendingRecs, r)
-}
-
 func (c *Conn) sendAck() {
 	win := c.recvBufFree()
 	c.lastAdvWin = win
-	c.s.transmit(c.remote, frame{
+	c.s.transmit(c.remote, header{
 		kind:   frameACK,
 		connID: c.id,
 		src:    c.s.nd.ID,
 		ackSeq: c.rcvNext,
 		window: win,
-	}, 40)
+	}, nil, 40)
 }
 
 // deliver hands completed records to the application in stream order.
@@ -405,7 +399,8 @@ func (c *Conn) deliver() {
 			// application parses will be garbage.
 			c.desynced = true
 		}
-		d := &Delivered{
+		d := c.s.newDelivered()
+		*d = Delivered{
 			Msg: comm.Message{
 				Kind:    r.msgKind,
 				Size:    r.declaredSize,
@@ -426,10 +421,20 @@ func (c *Conn) deliver() {
 	}
 }
 
+func (s *Stack) newDelivered() *Delivered {
+	if n := len(s.delivs); n > 0 {
+		d := s.delivs[n-1]
+		s.delivs[n-1] = nil
+		s.delivs = s.delivs[:n-1]
+		return d
+	}
+	return &Delivered{}
+}
+
 // dropFront removes the first n records in place. Reslicing from the
 // front instead would leave no spare capacity behind the tail, so every
 // later append would reallocate the queue.
-func dropFront(q []*record, n int) []*record {
+func dropFront(q []record, n int) []record {
 	m := copy(q, q[n:])
 	clear(q[m:])
 	return q[:m]
@@ -451,7 +456,7 @@ func (c *Conn) Abort() {
 	if c.state == stDead {
 		return
 	}
-	c.s.transmit(c.remote, frame{kind: frameRST, connID: c.id, src: c.s.nd.ID}, 40)
+	c.s.transmit(c.remote, header{kind: frameRST, connID: c.id, src: c.s.nd.ID}, nil, 40)
 	c.die()
 }
 
@@ -461,7 +466,7 @@ func (c *Conn) abort(err error, sendRST bool) {
 		return
 	}
 	if sendRST {
-		c.s.transmit(c.remote, frame{kind: frameRST, connID: c.id, src: c.s.nd.ID}, 40)
+		c.s.transmit(c.remote, header{kind: frameRST, connID: c.id, src: c.s.nd.ID}, nil, 40)
 	}
 	c.die()
 	if c.Handler.OnBreak != nil {

@@ -89,26 +89,39 @@ const (
 	frameRST
 )
 
-// frame is the payload attached to a cluster.Packet.
-type frame struct {
+// header is a frame's fixed fields.
+type header struct {
 	kind   frameKind
 	connID uint64
 	src    int
 
 	// DATA fields
-	seq     int64 // first stream byte carried
-	length  int64 // bytes carried
-	records []*record
+	seq    int64 // first stream byte carried
+	length int64 // bytes carried
 
 	// ACK fields
 	ackSeq int64 // next expected stream byte
 	window int64 // advertised free receive-buffer space
 }
 
+// frame is the payload attached to a cluster.Packet, always as a pointer
+// to a record from its sender's free list (Stack.frames), so boxing it in
+// Packet.Payload allocates nothing. The receiving stack hands the record
+// back to owner once it has processed the frame; a frame lost in the
+// fabric is simply left to the garbage collector.
+type frame struct {
+	header
+	// recs are the records that end inside a DATA frame's byte range,
+	// copied by value from the sender's queue. Their storage stays
+	// with the record across reuse.
+	recs  []record
+	owner *Stack
+}
+
 // record is the sender-side bookkeeping for one application message inside
-// the stream. Records ride along with the data frames that complete them;
-// this lets the simulation carry message identity without serializing
-// payload bytes while keeping exact byte-stream semantics.
+// the stream. Records ride along, by value, with the data frames that
+// complete them; this lets the simulation carry message identity without
+// serializing payload bytes while keeping exact byte-stream semantics.
 type record struct {
 	msgKind      int
 	payload      any
@@ -134,6 +147,11 @@ type Stack struct {
 	listener func(*Conn)
 	nextID   uint64
 	dials    map[uint64]*dialState
+
+	// Free lists: frames this stack sent whose receivers have
+	// processed them, and deliveries the application has released.
+	frames []*frame
+	delivs []*Delivered
 }
 
 type dialState struct {
@@ -207,7 +225,7 @@ func (s *Stack) Dial(dst int, cb func(*Conn, error)) {
 
 func (s *Stack) sendSYN(d *dialState) {
 	d.attempts++
-	s.transmit(d.conn.remote, frame{kind: frameSYN, connID: d.conn.id, src: s.nd.ID}, 64)
+	s.transmit(d.conn.remote, header{kind: frameSYN, connID: d.conn.id, src: s.nd.ID}, nil, 64)
 	d.timer = s.k.After(s.cfg.SynInterval, func() {
 		if !s.alive {
 			return
@@ -226,32 +244,57 @@ func (s *Stack) sendSYN(d *dialState) {
 	})
 }
 
-// transmit puts a frame on the fabric if kernel memory is available.
-// Frames that cannot get an skbuf are dropped; data-path callers handle
-// their own retry, and dropped acks simply look like loss to the peer.
-func (s *Stack) transmit(dst int, f frame, size int) bool {
+// transmit puts a frame on the fabric if kernel memory is available,
+// carrying a copy of recs. Frames that cannot get an skbuf are dropped;
+// data-path callers handle their own retry, and dropped acks simply look
+// like loss to the peer.
+func (s *Stack) transmit(dst int, h header, recs []record, size int) bool {
 	if !s.alive || !s.os.AllocSKBuf() {
 		return false
 	}
+	f := s.newFrame()
+	f.header = h
+	f.recs = append(f.recs, recs...)
 	s.cl.Transmit(cluster.Packet{Src: s.nd.ID, Dst: dst, Size: size, Proto: ProtoName, Payload: f})
 	return true
+}
+
+func (s *Stack) newFrame() *frame {
+	if n := len(s.frames); n > 0 {
+		f := s.frames[n-1]
+		s.frames[n-1] = nil
+		s.frames = s.frames[:n-1]
+		return f
+	}
+	return &frame{owner: s}
+}
+
+// release hands a processed frame back to the stack that sent it,
+// dropping the payloads its records reference.
+func (f *frame) release() {
+	clear(f.recs)
+	f.recs = f.recs[:0]
+	f.owner.frames = append(f.owner.frames, f)
 }
 
 // receive is the fabric-side entry point for all frames addressed to this
 // node. Receive processing itself needs kernel memory: during the skbuf
 // fault every arriving frame is dropped, so the faulty node also stops
-// acknowledging — which is what freezes its peers.
+// acknowledging — which is what freezes its peers. The frame goes back to
+// its sender's free list only after processing, since DATA handling
+// reads its records.
 func (s *Stack) receive(p cluster.Packet) {
-	if !s.alive {
-		return
-	}
-	f, ok := p.Payload.(frame)
+	f, ok := p.Payload.(*frame)
 	if !ok {
 		return
 	}
-	if f.kind != frameRST && !s.os.AllocSKBuf() {
-		return
+	if s.alive && (f.kind == frameRST || s.os.AllocSKBuf()) {
+		s.dispatch(f)
 	}
+	f.release()
+}
+
+func (s *Stack) dispatch(f *frame) {
 	switch f.kind {
 	case frameSYN:
 		s.onSYN(f)
@@ -266,26 +309,26 @@ func (s *Stack) receive(p cluster.Packet) {
 	}
 }
 
-func (s *Stack) onSYN(f frame) {
+func (s *Stack) onSYN(f *frame) {
 	if c, ok := s.conns[f.connID]; ok {
 		// Duplicate SYN: re-send the SYNACK.
 		if c.state == stEstablished {
-			s.transmit(f.src, frame{kind: frameSYNACK, connID: f.connID, src: s.nd.ID}, 64)
+			s.transmit(f.src, header{kind: frameSYNACK, connID: f.connID, src: s.nd.ID}, nil, 64)
 		}
 		return
 	}
 	if s.listener == nil {
-		s.transmit(f.src, frame{kind: frameRST, connID: f.connID, src: s.nd.ID}, 40)
+		s.transmit(f.src, header{kind: frameRST, connID: f.connID, src: s.nd.ID}, nil, 40)
 		return
 	}
 	c := newConn(s, f.connID, f.src, true)
 	c.state = stEstablished
 	s.conns[f.connID] = c
-	s.transmit(f.src, frame{kind: frameSYNACK, connID: f.connID, src: s.nd.ID}, 64)
+	s.transmit(f.src, header{kind: frameSYNACK, connID: f.connID, src: s.nd.ID}, nil, 64)
 	s.listener(c)
 }
 
-func (s *Stack) onSYNACK(f frame) {
+func (s *Stack) onSYNACK(f *frame) {
 	d, ok := s.dials[f.connID]
 	if !ok {
 		return // duplicate SYNACK after establishment
@@ -296,16 +339,16 @@ func (s *Stack) onSYNACK(f frame) {
 	d.cb(d.conn, nil)
 }
 
-func (s *Stack) onData(f frame) {
+func (s *Stack) onData(f *frame) {
 	c, ok := s.conns[f.connID]
 	if !ok || c.state != stEstablished {
-		s.transmit(f.src, frame{kind: frameRST, connID: f.connID, src: s.nd.ID}, 40)
+		s.transmit(f.src, header{kind: frameRST, connID: f.connID, src: s.nd.ID}, nil, 40)
 		return
 	}
 	c.handleData(f)
 }
 
-func (s *Stack) onAck(f frame) {
+func (s *Stack) onAck(f *frame) {
 	c, ok := s.conns[f.connID]
 	if !ok || c.state != stEstablished {
 		return
@@ -313,7 +356,7 @@ func (s *Stack) onAck(f frame) {
 	c.handleAck(f)
 }
 
-func (s *Stack) onRST(f frame) {
+func (s *Stack) onRST(f *frame) {
 	if d, ok := s.dials[f.connID]; ok {
 		delete(s.dials, f.connID)
 		delete(s.conns, f.connID)

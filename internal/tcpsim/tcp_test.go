@@ -61,9 +61,9 @@ func TestConnectAndExchange(t *testing.T) {
 	if a.Remote() != 1 || b.Remote() != 0 {
 		t.Fatalf("remotes = %d,%d", a.Remote(), b.Remote())
 	}
-	var got []*Delivered
+	var got []Delivered // copies: Release recycles the record
 	b.Handler.OnMessage = func(c *Conn, d *Delivered) {
-		got = append(got, d)
+		got = append(got, *d)
 		d.Release()
 	}
 	for i := 0; i < 5; i++ {
@@ -153,9 +153,9 @@ func TestNullPointerIsSynchronousEFAULT(t *testing.T) {
 func TestOffByNSizeDesyncsStream(t *testing.T) {
 	r := newRig(t)
 	a, b := r.connect(t, 0, 1)
-	var got []*Delivered
+	var got []Delivered // copies: Release recycles the record
 	var fatal error
-	b.Handler.OnMessage = func(c *Conn, d *Delivered) { got = append(got, d); d.Release() }
+	b.Handler.OnMessage = func(c *Conn, d *Delivered) { got = append(got, *d); d.Release() }
 	b.Handler.OnFatal = func(c *Conn, err error) { fatal = err }
 
 	if err := a.Send(msg(1, 1000, "good")); err != nil {
@@ -186,8 +186,8 @@ func TestOffByNSizeDesyncsStream(t *testing.T) {
 func TestOffByNPointerDeliversCorrupt(t *testing.T) {
 	r := newRig(t)
 	a, b := r.connect(t, 0, 1)
-	var got []*Delivered
-	b.Handler.OnMessage = func(c *Conn, d *Delivered) { got = append(got, d); d.Release() }
+	var got []Delivered // copies: Release recycles the record
+	b.Handler.OnMessage = func(c *Conn, d *Delivered) { got = append(got, *d); d.Release() }
 	if err := a.Send(comm.SendParams{Msg: comm.Message{Kind: 1, Size: 500}, PtrOffset: 40}); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,105 @@ func TestRecordQueuesReuseStorage(t *testing.T) {
 	if &a.sendQ[:1][0] != sendQ || &b.pendingRecs[:1][0] != pending {
 		t.Fatal("a record queue was reallocated in steady state")
 	}
-	if a.sendQ[:1][0] != nil || b.pendingRecs[:1][0] != nil {
+	if a.sendQ[:1][0].payload != nil || b.pendingRecs[:1][0].payload != nil {
 		t.Fatal("a dropped record is still referenced by its queue's storage")
+	}
+}
+
+// Once warm, a message's whole trip allocates nothing: the sender's queue
+// entry, its data frame, the receiver's ack frame and the delivery record
+// all come from free lists.
+func TestMessageRoundTripDoesNotAllocate(t *testing.T) {
+	r := newRig(t)
+	a, b := r.connect(t, 0, 1)
+	got := 0
+	b.Handler.OnMessage = func(c *Conn, d *Delivered) {
+		got++
+		d.Release()
+	}
+	p := msg(1, 8192, &got)
+	send := func() {
+		if err := a.Send(p); err != nil {
+			t.Fatal(err)
+		}
+		r.k.Run(r.k.Now() + 10*time.Millisecond)
+	}
+	send() // warm the free lists, the queues and the kernel arena
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("a message send -> deliver -> Release allocates %.1f times", allocs)
+	}
+	if got != 102 {
+		t.Fatalf("delivered %d messages, want 102", got)
+	}
+}
+
+// ACKs lost across a link flap make the sender retransmit segments whose
+// records the receiver already delivered, coalesced with ones it has not
+// seen. Each message must still reach the application exactly once with
+// its own payload, even though the receiver recycles payload records the
+// moment it has read them and the sender reuses them for new messages.
+func TestRetransmissionAfterDeliveryDeliversOnce(t *testing.T) {
+	r := newRig(t)
+	a, b := r.connect(t, 0, 1)
+	type payload struct{ seq int }
+	var free []*payload // recycled payload records, as PRESS keeps them
+	newPayload := func(seq int) *payload {
+		if n := len(free); n > 0 {
+			p := free[n-1]
+			free = free[:n-1]
+			p.seq = seq
+			return p
+		}
+		return &payload{seq: seq}
+	}
+	reused := 0
+	var got []int
+	b.Handler.OnMessage = func(c *Conn, d *Delivered) {
+		p := d.Msg.Payload.(*payload)
+		got = append(got, p.seq)
+		d.Release()
+		*p = payload{seq: -1}
+		free = append(free, p)
+	}
+	sent := 0
+	send := func() {
+		if len(free) > 0 {
+			reused++
+		}
+		if err := a.Send(msg(1, 1000, newPayload(sent))); err != nil {
+			t.Fatalf("send %d: %v", sent, err)
+		}
+		sent++
+	}
+	// Message 0 arrives and is delivered; the link goes down while its
+	// ACK is in flight and before message 1 arrives. Message 2, which
+	// takes message 0's payload record, is lost too. Nothing reaches the
+	// receiver until the RTO resends all three in one segment from
+	// byte 0.
+	send()
+	for len(got) == 0 {
+		r.k.Step() // the receiver acks before it delivers
+	}
+	send()
+	r.cl.Node(1).Link.Up = false
+	r.k.Run(r.k.Now() + 50*time.Millisecond)
+	send()
+	r.k.Run(r.k.Now() + 50*time.Millisecond)
+	r.cl.Node(1).Link.Up = true
+	r.k.Run(r.k.Now() + 2*time.Second)
+	for i := 0; i < 20; i++ {
+		send()
+		r.k.Run(r.k.Now() + time.Millisecond)
+	}
+	if reused == 0 {
+		t.Fatal("no payload record was reused; the test exercises nothing")
+	}
+	if len(got) != sent {
+		t.Fatalf("delivered %v for %d messages sent", got, sent)
+	}
+	for i, seq := range got {
+		if seq != i {
+			t.Fatalf("delivery %d carried message %d: %v", i, seq, got)
+		}
 	}
 }

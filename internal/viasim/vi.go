@@ -34,25 +34,62 @@ type Handler struct {
 	OnError func(v *VI, err error)
 }
 
-// Delivered is one message handed to OnMessage.
+// Delivered is one message handed to OnMessage. It is a record from the
+// receiving NIC's free list: it stays valid until the application calls
+// Release, which hands it back for the next delivery.
 type Delivered struct {
 	Msg         comm.Message
 	Corrupt     bool
 	RemoteWrite bool
 
-	vi    *VI
-	freed bool
+	vi     *VI
+	n      *NIC
+	arrive func() // d.hand, bound once: the delivery event
 }
 
 // Release returns this message's receive descriptor to the sender as a
-// flow-control credit. The application calls it when processing completes;
-// duplicate calls are ignored.
+// flow-control credit. The application calls it when processing
+// completes. Release recycles d, so the application must copy out
+// anything it still needs first; a second call before d is reused is
+// ignored.
 func (d *Delivered) Release() {
-	if d.freed || d.vi == nil {
+	v := d.vi
+	if v == nil {
 		return
 	}
-	d.freed = true
-	d.vi.Release()
+	d.recycle()
+	v.Release()
+}
+
+func (n *NIC) newDelivered() *Delivered {
+	if k := len(n.delivs); k > 0 {
+		d := n.delivs[k-1]
+		n.delivs[k-1] = nil
+		n.delivs = n.delivs[:k-1]
+		return d
+	}
+	d := &Delivered{n: n}
+	d.arrive = d.hand
+	return d
+}
+
+// recycle clears d and puts it back on its NIC's free list.
+func (d *Delivered) recycle() {
+	n := d.n
+	*d = Delivered{n: n, arrive: d.arrive}
+	n.delivs = append(n.delivs, d)
+}
+
+// hand delivers d to the application when its (interrupt or polled)
+// delivery time comes. A delivery the application never sees goes
+// straight back on the free list.
+func (d *Delivered) hand() {
+	v := d.vi
+	if v.state != viEstablished || v.Handler.OnMessage == nil {
+		d.recycle()
+		return
+	}
+	v.Handler.OnMessage(v, d)
 }
 
 // pendingMsg is one sent message awaiting its hardware ack. Records are
@@ -85,6 +122,7 @@ type VI struct {
 	totalReleased uint64
 	wantWrite     bool
 	probing       bool
+	probe         func() // v.probeFired, bound once
 	nextSeq       uint64
 	pending       map[uint64]*pendingMsg
 	free          []*pendingMsg // acked records, ready for reuse
@@ -98,7 +136,7 @@ type VI struct {
 }
 
 func newVI(n *NIC, id uint64, remote int) *VI {
-	return &VI{
+	v := &VI{
 		n:       n,
 		id:      id,
 		remote:  remote,
@@ -106,6 +144,8 @@ func newVI(n *NIC, id uint64, remote int) *VI {
 		pending: make(map[uint64]*pendingMsg),
 		reorder: make(map[uint64]frame),
 	}
+	v.probe = v.probeFired
+	return v
 }
 
 // Remote returns the peer node id.
@@ -316,12 +356,11 @@ func (v *VI) acceptFrame(f frame) {
 		v.signalError(comm.ErrDescriptorError)
 		return
 	}
-	d := &Delivered{
-		Msg:         comm.Message{Kind: f.msgKind, Size: f.declaredSize, Payload: f.payload},
-		Corrupt:     f.corrupt,
-		RemoteWrite: f.remoteWrite,
-		vi:          v,
-	}
+	d := v.n.newDelivered()
+	d.Msg = comm.Message{Kind: f.msgKind, Size: f.declaredSize, Payload: f.payload}
+	d.Corrupt = f.corrupt
+	d.RemoteWrite = f.remoteWrite
+	d.vi = v
 	if f.corrupt && f.remoteWrite {
 		// Valid-but-wrong pointer on a remote write: damage on the
 		// target is visible on both ends.
@@ -337,14 +376,7 @@ func (v *VI) acceptFrame(f frame) {
 		at = v.nextDeliverAt
 	}
 	v.nextDeliverAt = at
-	v.n.k.At(at, func() {
-		if v.state != viEstablished {
-			return
-		}
-		if v.Handler.OnMessage != nil {
-			v.Handler.OnMessage(v, d)
-		}
-	})
+	v.n.k.At(at, d.arrive)
 }
 
 func (v *VI) handleCredit(released uint64) {
@@ -367,21 +399,23 @@ func (v *VI) armCreditProbe() {
 		return
 	}
 	v.probing = true
-	v.n.k.After(v.n.cfg.HWAckTimeout, func() {
-		v.probing = false
-		if v.state != viEstablished || !v.wantWrite {
-			return
+	v.n.k.After(v.n.cfg.HWAckTimeout, v.probe)
+}
+
+func (v *VI) probeFired() {
+	v.probing = false
+	if v.state != viEstablished || !v.wantWrite {
+		return
+	}
+	if v.Writable() {
+		v.wantWrite = false
+		if v.Handler.OnWritable != nil {
+			v.Handler.OnWritable(v)
 		}
-		if v.Writable() {
-			v.wantWrite = false
-			if v.Handler.OnWritable != nil {
-				v.Handler.OnWritable(v)
-			}
-			return
-		}
-		v.n.transmit(v.remote, frame{kind: frameCreditProbe, viID: v.id, src: v.n.nd.ID}, 40)
-		v.armCreditProbe()
-	})
+		return
+	}
+	v.n.transmit(v.remote, frame{kind: frameCreditProbe, viID: v.id, src: v.n.nd.ID}, 40)
+	v.armCreditProbe()
 }
 
 // sendCreditUpdate advertises the cumulative release count.

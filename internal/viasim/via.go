@@ -126,6 +126,11 @@ const (
 	frameDisc // orderly disconnect notification
 )
 
+// frame is the payload attached to a cluster.Packet, always as a pointer
+// to a record from its sender's free list (NIC.frames), so boxing it in
+// Packet.Payload allocates nothing. The receiving NIC copies the frame out
+// and hands the record back to owner before acting on it; a frame lost in
+// the fabric is simply left to the garbage collector.
 type frame struct {
 	kind  frameKind
 	viID  uint64
@@ -141,6 +146,8 @@ type frame struct {
 	sizeMismatch bool
 
 	err string // for frameRDMAErr
+
+	owner *NIC
 }
 
 // NIC is the per-node VIA provider state (NIC hardware + VIPL library).
@@ -157,6 +164,11 @@ type NIC struct {
 	listener func(*VI)
 	nextID   uint64
 	nextMsg  uint64
+
+	// Free lists: frames this NIC sent whose receivers have taken
+	// them, and deliveries the application has released.
+	frames []*frame
+	delivs []*Delivered
 }
 
 // NewNIC creates and installs the VIA provider on a node.
@@ -249,15 +261,33 @@ func (n *NIC) transmit(dst int, f frame, size int) {
 	if !n.alive {
 		return
 	}
-	n.cl.Transmit(cluster.Packet{Src: n.nd.ID, Dst: dst, Size: size, Proto: ProtoName, Payload: f})
+	fr := n.newFrame()
+	*fr = f
+	fr.owner = n
+	n.cl.Transmit(cluster.Packet{Src: n.nd.ID, Dst: dst, Size: size, Proto: ProtoName, Payload: fr})
+}
+
+func (n *NIC) newFrame() *frame {
+	if k := len(n.frames); k > 0 {
+		f := n.frames[k-1]
+		n.frames[k-1] = nil
+		n.frames = n.frames[:k-1]
+		return f
+	}
+	return &frame{}
 }
 
 func (n *NIC) receive(p cluster.Packet) {
-	if !n.alive {
+	fr, ok := p.Payload.(*frame)
+	if !ok {
 		return
 	}
-	f, ok := p.Payload.(frame)
-	if !ok {
+	// Copy out first, then hand the record back to its sender: nothing
+	// below reads it again.
+	f := *fr
+	*fr = frame{}
+	f.owner.frames = append(f.owner.frames, fr)
+	if !n.alive {
 		return
 	}
 	if n.cfg.DynamicBuffers && f.kind == frameData && !n.os.AllocSKBuf() {

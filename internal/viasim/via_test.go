@@ -562,3 +562,78 @@ func TestAckedMessagesRecyclePendingRecords(t *testing.T) {
 		t.Fatalf("a pendingMsg round trip allocates %.1f times", allocs)
 	}
 }
+
+// Once warm, a message's whole trip allocates nothing: the data, HW-ack
+// and credit frames, the pendingMsg and the delivery record (with its
+// delivery event) all come from free lists.
+func TestMessageRoundTripDoesNotAllocate(t *testing.T) {
+	for _, rw := range []bool{false, true} {
+		r := newRig(t)
+		a, b := r.connect(t, 0, 1)
+		got := 0
+		b.Handler.OnMessage = func(v *VI, d *Delivered) {
+			got++
+			d.Release()
+		}
+		p := msg(1, 8192, &got)
+		send := func() {
+			if err := a.Send(p, rw); err != nil {
+				t.Fatal(err)
+			}
+			r.k.Run(r.k.Now() + 10*time.Millisecond)
+		}
+		send() // warm the free lists and the kernel arena
+		if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+			t.Fatalf("remote write %v: a message send -> deliver -> Release allocates %.1f times", rw, allocs)
+		}
+		if got != 102 {
+			t.Fatalf("delivered %d messages, want 102", got)
+		}
+	}
+}
+
+// A released delivery record goes back on its NIC's free list: it no
+// longer shows the released message, a second Release returns no second
+// credit, and the next delivery reuses it for its own message only.
+func TestReleasedDeliveryIsNotObservedAgain(t *testing.T) {
+	r := newRig(t)
+	a, b := r.connect(t, 0, 1)
+	var held *Delivered
+	var got []any
+	b.Handler.OnMessage = func(v *VI, d *Delivered) {
+		got = append(got, d.Msg.Payload)
+		held = d
+	}
+	if err := a.Send(msg(1, 512, "first"), false); err != nil {
+		t.Fatal(err)
+	}
+	r.k.Run(r.k.Now() + time.Millisecond)
+	if held == nil {
+		t.Fatal("nothing delivered")
+	}
+	first := held
+	first.Release()
+	if first.Msg.Payload != nil || first.vi != nil {
+		t.Fatalf("a released record still shows its message: %+v", first.Msg)
+	}
+	first.Release() // ignored: the credit was already returned
+	if b.totalReleased != 1 {
+		t.Fatalf("released %d credits for one message", b.totalReleased)
+	}
+	r.k.Run(r.k.Now() + time.Millisecond)
+	if err := a.Send(msg(2, 512, "second"), false); err != nil {
+		t.Fatal(err)
+	}
+	r.k.Run(r.k.Now() + time.Millisecond)
+	if held != first || held.Msg.Payload != "second" {
+		t.Fatalf("the next delivery did not reuse the released record for its own message")
+	}
+	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
+		t.Fatalf("deliveries = %v, want [first second]", got)
+	}
+	held.Release()
+	r.k.Run(r.k.Now() + time.Millisecond)
+	if a.Credits() != a.n.cfg.Credits {
+		t.Fatalf("sender holds %d credits after both releases, want %d", a.Credits(), a.n.cfg.Credits)
+	}
+}

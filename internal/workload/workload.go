@@ -102,7 +102,7 @@ type Request struct {
 	clients *Clients
 	birth   sim.Time
 	settled bool
-	timer   sim.Event
+	timer   *timeout // the armed request timeout, if any
 }
 
 // Complete marks the request successfully served. Calls after the client
@@ -112,7 +112,7 @@ func (r *Request) Complete() {
 		return
 	}
 	r.settled = true
-	r.timer.Cancel()
+	r.disarm()
 	r.clients.settle(r, metrics.Served)
 }
 
@@ -123,8 +123,17 @@ func (r *Request) Fail(o metrics.Outcome) {
 		return
 	}
 	r.settled = true
-	r.timer.Cancel()
+	r.disarm()
 	r.clients.settle(r, o)
+}
+
+// disarm cancels r's request timeout and recycles its record.
+func (r *Request) disarm() {
+	if t := r.timer; t != nil {
+		r.timer = nil
+		t.ev.Cancel()
+		r.clients.freeTimeout(t)
+	}
 }
 
 // Settled reports whether an outcome was recorded for this request.
@@ -170,9 +179,10 @@ type Clients struct {
 	backend Backend
 	rec     *metrics.Recorder
 
-	running bool
-	rr      int
-	arrival func() // c.arrive, bound once so each arrival allocates no closure
+	running  bool
+	rr       int
+	arrival  func()     // c.arrive, bound once so each arrival allocates no closure
+	timeouts []*timeout // free list of client timer records
 
 	// Request-conservation accounting: every issued request must
 	// eventually record exactly one outcome. The chaos oracles compare
@@ -266,19 +276,61 @@ func (c *Clients) issue() {
 	}
 	switch c.backend.Submit(r) {
 	case Accepted:
-		r.timer = c.k.After(c.cfg.RequestTimeout, func() {
-			if !r.settled {
-				r.settled = true
-				c.settle(r, metrics.RequestTimeout)
-			}
-		})
+		t := c.newTimeout(r, false)
+		r.timer = t
+		t.ev = c.k.After(c.cfg.RequestTimeout, t.fire)
 	case Refused:
 		r.settled = true
 		c.settle(r, metrics.Refused)
 	case Unreachable:
 		r.settled = true
-		c.k.After(c.cfg.ConnectTimeout, func() {
-			c.settle(r, metrics.ConnectTimeout)
-		})
+		t := c.newTimeout(r, true)
+		t.ev = c.k.After(c.cfg.ConnectTimeout, t.fire)
+	}
+}
+
+// timeout is one armed client timer: an accepted request's request
+// timeout, or an unreachable one's connect timeout. Records are recycled
+// through Clients.timeouts, and each one's callback is bound when the
+// record is first made, so arming a timer allocates nothing. A record
+// goes back on the list when its timer fires or is cancelled.
+type timeout struct {
+	c       *Clients
+	r       *Request
+	connect bool
+	ev      sim.Event
+	fire    func() // t.expire, bound once
+}
+
+func (c *Clients) newTimeout(r *Request, connect bool) *timeout {
+	var t *timeout
+	if n := len(c.timeouts); n > 0 {
+		t = c.timeouts[n-1]
+		c.timeouts[n-1] = nil
+		c.timeouts = c.timeouts[:n-1]
+	} else {
+		t = &timeout{c: c}
+		t.fire = t.expire
+	}
+	t.r, t.connect = r, connect
+	return t
+}
+
+func (c *Clients) freeTimeout(t *timeout) {
+	t.r, t.ev = nil, sim.Event{}
+	c.timeouts = append(c.timeouts, t)
+}
+
+func (t *timeout) expire() {
+	c, r, connect := t.c, t.r, t.connect
+	c.freeTimeout(t)
+	if connect {
+		c.settle(r, metrics.ConnectTimeout)
+		return
+	}
+	r.timer = nil
+	if !r.settled {
+		r.settled = true
+		c.settle(r, metrics.RequestTimeout)
 	}
 }

@@ -212,3 +212,39 @@ func TestDoubleCompleteAndFailAreIdempotent(t *testing.T) {
 		t.Fatalf("served=%d failed=%d after duplicate settlement", served, failed)
 	}
 }
+
+// holdingBackend accepts every request and keeps the latest one, so the
+// caller settles it.
+type holdingBackend struct{ last *Request }
+
+func (h *holdingBackend) Submit(r *Request) SubmitResult {
+	h.last = r
+	return Accepted
+}
+
+// Once warm, issuing a request that the backend accepts, and settling it,
+// allocates only the Request: its timeout comes from a recycled record.
+func TestIssueAllocatesOnlyTheRequest(t *testing.T) {
+	k := sim.New(3)
+	rec := metrics.NewRecorder(k, time.Hour)
+	be := &holdingBackend{}
+	tr := NewTrace(TraceConfig{Files: 100, FileSize: 8192, ZipfS: 1.2}, k.Rand())
+	cl := NewClients(k, DefaultClients(100, 4), tr, be, rec)
+	issue := func() {
+		cl.issue()
+		be.last.Complete()
+	}
+	issue() // warm the timeout free list and the kernel arena
+	if allocs := testing.AllocsPerRun(100, issue); allocs != 1 {
+		t.Fatalf("an issued request allocates %.1f times, want 1 (the Request)", allocs)
+	}
+	if served, _ := rec.Totals(); served != 102 || k.Pending() != 0 {
+		t.Fatalf("served %d of 102, %d timers still armed", served, k.Pending())
+	}
+	// A timeout that fires recycles its record as well.
+	cl.issue()
+	k.RunAll()
+	if _, failed := rec.Totals(); failed != 1 || len(cl.timeouts) != 1 {
+		t.Fatalf("failed %d, %d free timeout records after a request timed out", failed, len(cl.timeouts))
+	}
+}
