@@ -8,7 +8,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-test bench-json ci bench-campaign
+.PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-smoke bench-test bench-json ci bench-campaign
 
 all: verify
 
@@ -174,10 +174,16 @@ soak-smoke:
 bench-test:
 	$(GO) -C bench test ./...
 
+# Benchmark smoke: one iteration of each kernel, substrate and set-up
+# micro-benchmark, so a broken b.N loop or a new sub-benchmark fails CI
+# instead of rotting unrun. Under a second; measures nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Kernel|Substrate|DeploymentSetup' -benchtime 1x . ./internal/sim
+
 bench-json:
 	bash bench/run.sh -seed 1 -runs 3 -layers
 
-ci: vet verify race golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-test
+ci: vet verify race golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-smoke bench-test
 
 # Serial vs parallel full-campaign wall clock (see EXPERIMENTS.md,
 # "Runtime"). Each iteration is a complete 60-run campaign.

@@ -46,10 +46,11 @@ func TestGoldenSeed1(t *testing.T) {
 	opt := Quick()
 	start := time.Now()
 	table1 := RenderTable1(Table1(opt))
-	// The campaign costs about 14 Table-1 passes (13.6-14.2 measured
-	// standalone on a shared 2-core VM); 15 leaves room for the
-	// package's tests that run after this one.
-	if project := 15 * time.Since(start); hasDeadline && time.Until(dl) < project {
+	// The campaign costs 15.9-17.4 Table-1 passes (three runs each,
+	// standalone on a shared 2-core VM): the two-tier event queue sped
+	// Table 1 up ~20% and the campaign's fault runs less. 19 leaves room
+	// for the package's tests that run after this one.
+	if project := 19 * time.Since(start); hasDeadline && time.Until(dl) < project {
 		t.Skipf("campaign projected at ~%v from Table 1, %v left; run via make golden",
 			project.Round(time.Second), time.Until(dl).Round(time.Second))
 	}

@@ -31,15 +31,30 @@
 // An [Event] is a small value, not a pointer: a timer field holds one
 // directly, and its zero value means "no event", so [Event.Cancel] and
 // [Event.Pending] need no nil check. Callbacks live in a free-listed slot
-// arena beside a pointer-free binary heap of (time, sequence, slot)
-// entries. Cancel is eager: it removes the entry from the heap at once
-// and frees the slot, so the heap holds only live events and
-// [Kernel.Pending] is its length, O(1). Each slot carries a generation
-// that changes whenever the slot is freed; a handle remembers the
-// generation it was issued with, so cancelling a handle whose event
+// arena beside two pointer-free binary heaps of (time, sequence, slot)
+// entries. Cancel is eager: it removes the entry from its heap at once
+// and frees the slot, so the heaps hold only live events and
+// [Kernel.Pending] is the sum of their lengths, O(1). Each slot carries a
+// generation that changes whenever the slot is freed; a handle remembers
+// the generation it was issued with, so cancelling a handle whose event
 // already fired or was cancelled is a no-op even after the slot has been
 // reused by a newer event. Scheduling allocates nothing once the arena
-// has grown to the peak number of live events.
+// and the heaps have grown to their peak number of live events.
+//
+// The two heaps are tiers. [Kernel.At] puts an event due less than a
+// fixed split (16 ms) ahead in the near heap and any later one in the far
+// heap, and records the tier in the slot beside the entry's position, so
+// Cancel and [Event.When] find it directly. The model's events fall on
+// either side of that split with almost nothing near it: hops of µs to a
+// few ms on one side; on the other, long timers — the clients' 6 s and
+// 2 s timeouts, TCP's ~200 ms RTO, heartbeats — that are mostly
+// cancelled before they fire. A saturated server keeps thousands of
+// those armed, and in one heap every hop would sift through the levels
+// they fill; the near heap holds about a dozen entries. Splitting
+// changes no firing order: the next event is whichever of the two tops
+// comes first by (time, sequence), exactly the event one heap would pop,
+// so ties still fire in scheduling order even across tiers, and every
+// run is the same event for event.
 //
 // # Hot callbacks
 //

@@ -327,6 +327,8 @@ type refEvent struct {
 // reused — and checks the firing order, the clock, Pending and every
 // handle's state after each operation.
 func TestQueueMatchesReference(t *testing.T) {
+	const grid = split / 8
+	var used [2]bool // tiers that ever held an event
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := New(seed)
@@ -338,6 +340,11 @@ func TestQueueMatchesReference(t *testing.T) {
 		)
 		check := func(op string) {
 			t.Helper()
+			for q, h := range k.tiers {
+				if len(h) > 0 {
+					used[q] = true
+				}
+			}
 			if k.Pending() != len(ref) {
 				t.Fatalf("seed %d after %s: Pending() = %d, reference %d", seed, op, k.Pending(), len(ref))
 			}
@@ -364,10 +371,11 @@ func TestQueueMatchesReference(t *testing.T) {
 		}
 		var schedule func()
 		schedule = func() {
-			// Short hops and long timeouts, on a coarse grid for ties.
-			at := k.Now() + Time(rng.Intn(20))*time.Millisecond
+			// Short hops on both sides of the tier split and long
+			// timeouts, on a coarse grid for ties.
+			at := k.Now() + Time(rng.Intn(10))*grid
 			if rng.Intn(2) == 0 {
-				at += Time(rng.Intn(100)) * 20 * time.Millisecond
+				at += Time(rng.Intn(100)) * 10 * grid
 			}
 			id := len(handles)
 			r := refEvent{at: at, seq: seq, id: id}
@@ -421,7 +429,7 @@ func TestQueueMatchesReference(t *testing.T) {
 				}
 				check("step")
 			default:
-				until := k.Now() + Time(rng.Intn(30))*time.Millisecond
+				until := k.Now() + Time(rng.Intn(15))*grid
 				k.Run(until)
 				if len(ref) > 0 && ref[0].at <= until {
 					t.Fatalf("seed %d: Run(%v) returned with event due at %v", seed, until, ref[0].at)
@@ -435,29 +443,116 @@ func TestQueueMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: degenerate sequence, %d handles, %d fired", seed, len(handles), fired)
 		}
 	}
+	if !used[near] || !used[far] {
+		t.Fatalf("tiers used near=%v far=%v, want both", used[near], used[far])
+	}
 }
 
-func TestTickerRearmDoesNotAllocate(t *testing.T) {
+// tierOf returns the tier holding pending event e.
+func tierOf(e Event) int {
+	q, _ := e.k.slots[e.slot].where()
+	return q
+}
+
+// An event scheduled at T from far back sits in the far tier; one
+// scheduled at the same T from just before it sits in the near tier and
+// has the higher sequence number, so it must fire second.
+func TestCrossTierTieFiresInSchedulingOrder(t *testing.T) {
 	k := New(1)
-	n := 0
-	tk := NewTicker(k, time.Second, func() { n++ })
-	tk.Start()
-	k.Step() // warm the arena
-	if allocs := testing.AllocsPerRun(100, func() { k.Step() }); allocs != 0 {
-		t.Fatalf("ticker re-arm allocates %.1f times per tick", allocs)
-	}
-	if n < 100 {
-		t.Fatalf("ticks = %d, want at least 100", n)
+	const at = 10 * split
+	var got []string
+	a := k.At(at, func() { got = append(got, "A") })
+	var b Event
+	k.At(at-split/2, func() {
+		b = k.At(at, func() { got = append(got, "B") })
+		if tierOf(a) != far || tierOf(b) != near {
+			t.Errorf("tiers A=%d B=%d, want far=%d near=%d", tierOf(a), tierOf(b), far, near)
+		}
+	})
+	k.RunAll()
+	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
+		t.Fatalf("fired %v, want [A B]", got)
 	}
 }
 
-// BenchmarkKernel drives the kernel with the timer churn of a fault
-// run's request path: each request arms a 6 s client timeout and a
-// 200 ms retransmit timer, fires eleven short events about 100 us apart,
-// and cancels both timers on the way. At 2500 requests/s about 15k
-// timeouts are armed at once. One op is one fired event, so ns/op and
-// allocs/op are per event.
+// Cancel, When, Pending and Run(until) with the earliest pending event
+// in the far tier and a later one in the near tier.
+func TestEarliestEventInFarTier(t *testing.T) {
+	k := New(1)
+	var fired []string
+	mark := func(s string) func() { return func() { fired = append(fired, s) } }
+	setup := func() (f, n Event) {
+		// f is due 1.25 splits ahead: far. After one step, n is due just
+		// under a split ahead but after f: near.
+		start := k.Now()
+		k.At(start+split/2, func() {})
+		f = k.At(start+split+split/4, mark("F"))
+		k.Step()
+		n = k.At(k.Now()+split-1, mark("N"))
+		if tierOf(f) != far || tierOf(n) != near || f.When() >= n.When() {
+			t.Fatalf("setup: F tier %d at %v, N tier %d at %v", tierOf(f), f.When(), tierOf(n), n.When())
+		}
+		return f, n
+	}
+
+	f, n := setup()
+	if k.Pending() != 2 || f.When() != split+split/4 || n.When() != 3*split/2-1 {
+		t.Fatalf("Pending=%d F.When=%v N.When=%v", k.Pending(), f.When(), n.When())
+	}
+	k.Run(f.When() - 1)
+	if len(fired) != 0 || k.Pending() != 2 {
+		t.Fatalf("Run before F fired %v, Pending %d", fired, k.Pending())
+	}
+	k.Run(f.When())
+	if len(fired) != 1 || fired[0] != "F" || k.Now() != split+split/4 || f.Pending() || !n.Pending() || k.Pending() != 1 {
+		t.Fatalf("Run to F: fired %v at %v, F pending %v, N pending %v, Pending %d",
+			fired, k.Now(), f.Pending(), n.Pending(), k.Pending())
+	}
+	k.RunAll()
+
+	fired = nil
+	f, n = setup()
+	f.Cancel()
+	if f.Pending() || f.When() != 0 || !n.Pending() || k.Pending() != 1 {
+		t.Fatalf("after Cancel: F pending %v When %v, N pending %v, Pending %d",
+			f.Pending(), f.When(), n.Pending(), k.Pending())
+	}
+	k.RunAll()
+	if len(fired) != 1 || fired[0] != "N" {
+		t.Fatalf("after cancelling F fired %v, want [N]", fired)
+	}
+}
+
+// One period on each side of the tier split.
+func TestTickerRearmDoesNotAllocate(t *testing.T) {
+	for _, period := range []time.Duration{time.Second, time.Millisecond} {
+		k := New(1)
+		n := 0
+		tk := NewTicker(k, period, func() { n++ })
+		tk.Start()
+		k.Step() // warm the arena
+		if allocs := testing.AllocsPerRun(100, func() { k.Step() }); allocs != 0 {
+			t.Fatalf("period %v: ticker re-arm allocates %.1f times per tick", period, allocs)
+		}
+		if n < 100 {
+			t.Fatalf("period %v: ticks = %d, want at least 100", period, n)
+		}
+	}
+}
+
+// BenchmarkKernel measures the kernel under two queue shapes. One op is
+// one fired event, so ns/op and allocs/op are per event.
 func BenchmarkKernel(b *testing.B) {
+	b.Run("churn", benchChurn)
+	b.Run("resident", benchResident)
+}
+
+// benchChurn is the timer churn of a lightly loaded fault run's request
+// path. Each request arms a 6 s client timeout and a 200 ms retransmit
+// timer, fires eleven short events 100 us apart and cancels both timers
+// on the way, the timeout ~1.1 ms after arming it. At 2500 requests/s
+// about ten events are live at a time.
+func benchChurn(b *testing.B) {
 	const rate = 2500.0
 	k := New(1)
 	nop := func() {}
@@ -483,6 +578,50 @@ func BenchmarkKernel(b *testing.B) {
 	}
 	k.After(0, arrive)
 	k.Run(7 * time.Second) // past one timeout: the queue size is steady
+	runSteps(b, k)
+}
+
+// benchResident is Table 1's shape: a saturated server's backlog keeps
+// thousands of client timeouts armed beside a few short events. Requests
+// arrive at 2500/s and each arms a 6 s request timeout and a 2 s connect
+// timeout. It waits behind the 2500 requests before it, about a second,
+// and is then served, which cancels both, so ~5k timeouts are live and
+// none fires. Twelve chains of short events, each re-armed a mean of
+// 400 us later, stand for the CPUs, links and NICs: about twelve fire per
+// request. Every callback is bound once, so no event allocates.
+func benchResident(b *testing.B) {
+	const (
+		rate    = 2500.0
+		backlog = 2500
+		chains  = 12
+		gap     = 400 * time.Microsecond
+	)
+	k := New(1)
+	nop := func() {}
+	waiting := make([][2]Event, backlog) // a ring, oldest at next
+	next := 0
+	var arrive func()
+	arrive = func() {
+		w := &waiting[next]
+		w[0].Cancel()
+		w[1].Cancel()
+		w[0] = k.After(6*time.Second, nop)
+		w[1] = k.After(2*time.Second, nop)
+		next = (next + 1) % backlog
+		k.After(time.Duration(k.Rand().ExpFloat64()/rate*float64(time.Second)), arrive)
+	}
+	for range chains {
+		var hop func()
+		hop = func() { k.After(time.Duration(k.Rand().ExpFloat64()*float64(gap)), hop) }
+		k.After(0, hop)
+	}
+	k.After(0, arrive)
+	k.Run(7 * time.Second) // past one timeout: the queue size is steady
+	runSteps(b, k)
+}
+
+// runSteps times b.N events of k.
+func runSteps(b *testing.B, k *Kernel) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for end := k.Steps() + uint64(b.N); k.Steps() < end; {
