@@ -8,7 +8,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-smoke bench-test bench-json ci bench-campaign
+.PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke fuzz-smoke bench-smoke bench-test bench-json ci bench-campaign
 
 all: verify
 
@@ -166,6 +166,14 @@ soak-smoke:
 	grep -qF '0/2 cycles violated an invariant' $(CHAOS_SMOKE_DIR)/a.txt
 	rm -rf $(CHAOS_SMOKE_DIR)
 
+# Fuzz smoke: ten seconds of native Go fuzzing on the fault-spec JSON
+# decoder behind chaos repro artifacts. Every input must either fail with
+# an error or decode to a spec that round-trips unchanged. Inputs that
+# fail are written under internal/faults/testdata/fuzz and replay as
+# ordinary test cases from then on.
+fuzz-smoke:
+	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s -parallel 2
+
 # The benchmark (bench/, a Go module of its own that the root module's
 # build and tests do not see): its package tests, so it keeps building
 # against the simulator's API, and a full ledger run (every workload,
@@ -183,7 +191,7 @@ bench-smoke:
 bench-json:
 	bash bench/run.sh -seed 1 -runs 3 -layers
 
-ci: vet verify race golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke bench-smoke bench-test
+ci: vet verify race golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke fuzz-smoke bench-smoke bench-test
 
 # Serial vs parallel full-campaign wall clock (see EXPERIMENTS.md,
 # "Runtime"). Each iteration is a complete 60-run campaign.

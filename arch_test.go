@@ -27,6 +27,9 @@ const (
 	pkgObs         = "vivo/internal/obs"
 	pkgExperiments = "vivo/internal/experiments"
 	pkgChaos       = "vivo/internal/chaos"
+	pkgLatency     = "vivo/internal/latency"
+	pkgMetrics     = "vivo/internal/metrics"
+	pkgSim         = "vivo/internal/sim"
 )
 
 // imports returns the package's direct imports, including those of its
@@ -134,7 +137,7 @@ func TestRunLayersGoThroughObservationPipeline(t *testing.T) {
 // (Test files may still construct recorders to probe components in
 // isolation.)
 func TestRunLayersDoNotAssembleInstrumentation(t *testing.T) {
-	banned := []string{"metrics.NewRecorder(", "SetTracer(", "latency.NewRecorder(", "trace.NewRecorder("}
+	banned := []string{"metrics.NewRecorder(", "SetTracer(", ".TrackLatency(", "trace.NewRecorder("}
 	for _, pkg := range []string{pkgExperiments, pkgChaos} {
 		for _, path := range goFiles(t, pkg) {
 			src, err := os.ReadFile(path)
@@ -147,6 +150,20 @@ func TestRunLayersDoNotAssembleInstrumentation(t *testing.T) {
 						path, call)
 				}
 			}
+		}
+	}
+}
+
+// There is one per-second recorder, metrics.Recorder, and it bins
+// latency too. internal/latency is the kernel-free library it bins into
+// (histograms, quantiles, SLO counts, timeline rendering): importing
+// neither the kernel nor the recorder keeps a second clock-bound
+// recorder from growing back there.
+func TestLatencyIsKernelFree(t *testing.T) {
+	deps := imports(t, pkgLatency)
+	for _, banned := range []string{pkgSim, pkgMetrics} {
+		if slices.Contains(deps, banned) {
+			t.Errorf("%s imports %s; per-second binning belongs to metrics.Recorder", pkgLatency, banned)
 		}
 	}
 }

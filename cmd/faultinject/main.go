@@ -95,7 +95,7 @@ func main() {
 		fmt.Printf("\nPer-request latency (end-to-end):\n")
 		fmt.Printf("  run:       %s\n", fr.Latency.TotalQuantiles())
 		fmt.Print(fr.StageLat.String())
-		at, worst := fr.Latency.Timeline().WorstP99(10)
+		at, worst := fr.Latency.LatencyTimeline().WorstP99(10)
 		fmt.Printf("  worst per-second p99: %.1fms at %.0fs\n",
 			float64(worst.Microseconds())/1e3, at.Seconds())
 	}

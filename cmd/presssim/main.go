@@ -69,10 +69,8 @@ func main() {
 		finishTrace = finish
 	}
 	var probes []obs.Probe
-	var lp *obs.Latency
 	if *lat || *slo > 0 {
-		lp = &obs.Latency{}
-		probes = append(probes, lp)
+		probes = append(probes, obs.Latency{})
 	}
 
 	start := time.Now()
@@ -92,11 +90,10 @@ func main() {
 	if *verbose {
 		fmt.Fprint(os.Stdout, run.Rec.Timeline().String())
 	}
-	if lp != nil {
-		lr := lp.Rec
+	if lr := run.Rec; lr.TracksLatency() {
 		fmt.Printf("latency: %s\n", lr.TotalQuantiles())
 		if *verbose {
-			fmt.Print(lr.Timeline().String())
+			fmt.Print(lr.LatencyTimeline().String())
 		}
 		fmt.Print(lr.Total().Dump())
 		if *slo > 0 {

@@ -33,7 +33,7 @@ func TestStageOf(t *testing.T) {
 func TestSignatureBits(t *testing.T) {
 	o := fakeObs()
 	o.P = testParams()
-	o.Schedule = Schedule{Faults: []Fault{
+	o.Schedule = Schedule{Faults: []faults.Spec{
 		{Type: faults.LinkDown, Target: 0, At: 11 * time.Second, Dur: 2 * time.Second},
 		{Type: faults.AppCrash, Target: 1, At: 21 * time.Second},
 	}}

@@ -79,14 +79,14 @@ func atSteps(cfg GenConfig) int64 {
 // drawFault draws one fault from the generator's lattice — the same
 // quantization as Generate, so every mutant stays replayable with stable
 // string/JSON forms.
-func drawFault(rng *rand.Rand, cfg GenConfig) Fault {
+func drawFault(rng *rand.Rand, cfg GenConfig) faults.Spec {
 	menu := cfg.Types
 	if len(menu) == 0 {
 		menu = faults.AllTypes
 	}
 	minDur, maxDur := normalizedDurBounds(cfg)
 	durSteps := int64((maxDur-minDur)/time.Second) + 1
-	f := Fault{
+	f := faults.Spec{
 		Type:   menu[rng.Intn(len(menu))],
 		Target: rng.Intn(cfg.Nodes),
 		At:     cfg.From + time.Duration(rng.Int63n(atSteps(cfg)))*100*time.Millisecond,
@@ -117,7 +117,7 @@ func Mutate(rng *rand.Rand, parent, donor Schedule, cfg GenConfig) (Schedule, Mu
 	for !applicable(op, parent, donor, cfg) {
 		op = (op + 1) % numMutOps
 	}
-	fs := append([]Fault(nil), parent.Faults...)
+	fs := append([]faults.Spec(nil), parent.Faults...)
 	switch op {
 	case MutAdd:
 		fs = append(fs, drawFault(rng, cfg))
@@ -157,7 +157,7 @@ func Mutate(rng *rand.Rand, parent, donor Schedule, cfg GenConfig) (Schedule, Mu
 		fs[i].Dur = d
 	case MutCross:
 		cut := cfg.From + time.Duration(rng.Int63n(atSteps(cfg)))*100*time.Millisecond
-		var child []Fault
+		var child []faults.Spec
 		for _, f := range parent.Faults {
 			if f.At < cut {
 				child = append(child, f)
@@ -200,7 +200,7 @@ func applicable(op MutOp, parent, donor Schedule, cfg GenConfig) bool {
 }
 
 // durationFaults lists the indices of faults with a repair duration.
-func durationFaults(fs []Fault) []int {
+func durationFaults(fs []faults.Spec) []int {
 	var out []int
 	for i, f := range fs {
 		if f.Dur > 0 {

@@ -109,13 +109,13 @@ func TestMutationOperators(t *testing.T) {
 	cfg := testGen()
 	single := Generate(11, GenConfig{Nodes: cfg.Nodes, Budget: 1, From: cfg.From,
 		Window: cfg.Window, MinDur: cfg.MinDur, MaxDur: cfg.MaxDur})
-	full := Schedule{Faults: []Fault{
+	full := Schedule{Faults: []faults.Spec{
 		{Type: faults.LinkDown, Target: 0, At: cfg.From, Dur: cfg.MinDur},
 		{Type: faults.AppCrash, Target: 1, At: cfg.From + 500*time.Millisecond},
 		{Type: faults.NodeHang, Target: 2, At: cfg.From + time.Second, Dur: cfg.MaxDur},
 		{Type: faults.KernelMemory, Target: 3, At: cfg.From + 2*time.Second, Dur: cfg.MinDur},
 	}}
-	instOnly := Schedule{Faults: []Fault{
+	instOnly := Schedule{Faults: []faults.Spec{
 		{Type: faults.AppCrash, Target: 0, At: cfg.From},
 		{Type: faults.BadPtrNull, Target: 1, At: cfg.From + 300*time.Millisecond},
 	}}
@@ -167,7 +167,7 @@ func TestMutationOperators(t *testing.T) {
 		}},
 		{"crossover splices donor suffix", MutCross, full, donor, func(t *testing.T, parent, child Schedule) {
 			// Every child fault comes from one of the two parents.
-			pool := Schedule{Faults: append(append([]Fault{}, parent.Faults...), donor.Faults...)}
+			pool := Schedule{Faults: append(append([]faults.Spec{}, parent.Faults...), donor.Faults...)}
 			if !child.SubsetOf(pool) {
 				t.Errorf("cross: child %s contains faults from neither parent (%s | %s)",
 					child, parent, donor)
@@ -217,7 +217,7 @@ func TestMutateStaysValidUnderChurn(t *testing.T) {
 // an empty or over-budget schedule.
 func TestMutationFallthroughApplicability(t *testing.T) {
 	cfg := testGen()
-	single := Schedule{Faults: []Fault{{Type: faults.AppCrash, Target: 0, At: cfg.From}}}
+	single := Schedule{Faults: []faults.Spec{{Type: faults.AppCrash, Target: 0, At: cfg.From}}}
 	for seed := int64(0); seed < 200; seed++ {
 		child, op := Mutate(rand.New(rand.NewSource(seed)), single, Schedule{}, cfg)
 		if op == MutRemove {

@@ -99,7 +99,7 @@ func TestRecoveryOracle(t *testing.T) {
 	// Non-recoverable schedules are skipped, not failed: splintering
 	// after a connectivity fault is the paper's finding.
 	obs.Version = press.TCPPressHB
-	obs.Schedule = Schedule{Faults: []Fault{{Type: faults.LinkDown, Target: 1, At: 30 * time.Second, Dur: 10 * time.Second}}}
+	obs.Schedule = Schedule{Faults: []faults.Spec{{Type: faults.LinkDown, Target: 1, At: 30 * time.Second, Dur: 10 * time.Second}}}
 	if v := verdictOf(t, recovery{}, obs); v.Status != Skip {
 		t.Fatalf("non-recoverable schedule judged %v, want skip", v.Status)
 	}
@@ -131,7 +131,7 @@ func TestMembershipOracle(t *testing.T) {
 		}
 	}
 	obs.Version = press.VIAPress0
-	obs.Schedule = Schedule{Faults: []Fault{{Type: faults.SwitchDown, Target: 0, At: 30 * time.Second, Dur: 5 * time.Second}}}
+	obs.Schedule = Schedule{Faults: []faults.Spec{{Type: faults.SwitchDown, Target: 0, At: 30 * time.Second, Dur: 5 * time.Second}}}
 	if v := verdictOf(t, membership{}, obs); v.Status != Skip {
 		t.Fatalf("non-recoverable schedule judged %v, want skip", v.Status)
 	}

@@ -69,15 +69,15 @@ func TestQuickRecoverableGate(t *testing.T) {
 	}
 
 	// Schedule gate: one sharpened fault is in, overlapping refills out.
-	crash := Fault{Type: faults.AppCrash, Target: 1, At: 30 * time.Second}
-	link := Fault{Type: faults.LinkDown, Target: 2, At: 40 * time.Second, Dur: 10 * time.Second}
-	if !p.RecoverableSchedule(press.TCPPress, Schedule{Faults: []Fault{crash}}) {
+	crash := faults.Spec{Type: faults.AppCrash, Target: 1, At: 30 * time.Second}
+	link := faults.Spec{Type: faults.LinkDown, Target: 2, At: 40 * time.Second, Dur: 10 * time.Second}
+	if !p.RecoverableSchedule(press.TCPPress, Schedule{Faults: []faults.Spec{crash}}) {
 		t.Error("single sharpened fault must pass the schedule gate")
 	}
-	if !p.RecoverableSchedule(press.TCPPress, Schedule{Faults: []Fault{crash, link}}) {
+	if !p.RecoverableSchedule(press.TCPPress, Schedule{Faults: []faults.Spec{crash, link}}) {
 		t.Error("sharpened fault + conservative-recoverable fault must pass")
 	}
-	two := Schedule{Faults: []Fault{crash, {Type: faults.NodeCrash, Target: 2, At: 50 * time.Second, Dur: 10 * time.Second}}}
+	two := Schedule{Faults: []faults.Spec{crash, {Type: faults.NodeCrash, Target: 2, At: 50 * time.Second, Dur: 10 * time.Second}}}
 	if p.RecoverableSchedule(press.TCPPress, two) {
 		t.Error("two overlapping cold-cache refills were never calibrated; must stay conservative")
 	}
@@ -101,7 +101,7 @@ func TestQuickRecoverableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := Schedule{Faults: []Fault{{Type: faults.AppHang, Target: 3, At: p.Stabilize, Dur: 15 * time.Second}}}
+	sched := Schedule{Faults: []faults.Spec{{Type: faults.AppHang, Target: 3, At: p.Stabilize, Dur: 15 * time.Second}}}
 	o, err := runOne(v, p, 1, sched, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func calibrateRun(t *testing.T, v press.Version, ft faults.Type, baselineTail fl
 	if ft.Instantaneous() {
 		dur = 0
 	}
-	sched := Schedule{Faults: []Fault{{Type: ft, Target: 3, At: p.Stabilize, Dur: dur}}}
+	sched := Schedule{Faults: []faults.Spec{{Type: ft, Target: 3, At: p.Stabilize, Dur: dur}}}
 	o, err := runOne(v, p, 1, sched, nil)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", v, ft, err)

@@ -209,16 +209,12 @@ type Observation struct {
 // non-nil, additionally receives every event (e.g. a JSON trace file).
 // An error means the schedule itself was invalid — no simulation ran.
 func runOne(v press.Version, p Params, seed int64, sched Schedule, extra trace.Sink) (*Observation, error) {
-	specs := make([]obs.FaultSpec, len(sched.Faults))
-	for i, f := range sched.Faults {
-		specs[i] = obs.FaultSpec{Type: f.Type, Target: f.Target, At: f.At, Dur: f.Dur}
-	}
 	horizon := p.horizon()
 	h := obs.Harness{
 		Seed:    seed,
 		Config:  experiments.Options{FullScale: p.FullScale}.Config(v),
 		Rate:    p.LoadFraction * press.Table1Throughput(v),
-		Faults:  specs,
+		Faults:  sched.Faults,
 		LoadFor: horizon,
 		Drain:   drain,
 		Sink:    extra,

@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -11,71 +9,11 @@ import (
 	"vivo/internal/faults"
 )
 
-// Fault is one entry of a chaos schedule: inject Type into node Target at
-// virtual time At; for duration faults the component is repaired at
-// At+Dur (instantaneous faults carry Dur 0).
-type Fault struct {
-	Type   faults.Type
-	Target int
-	At     time.Duration
-	Dur    time.Duration
-}
-
-// String renders the fault the way repro artifacts and reports print it.
-func (f Fault) String() string {
-	if f.Dur == 0 {
-		return fmt.Sprintf("%s@n%d@%s", f.Type, f.Target, f.At)
-	}
-	return fmt.Sprintf("%s@n%d@%s+%s", f.Type, f.Target, f.At, f.Dur)
-}
-
-// jsonFault is the serialized form: fault names and Go duration strings
-// instead of raw integers, so a repro artifact reads like a schedule.
-type jsonFault struct {
-	Type   string `json:"type"`
-	Target int    `json:"target"`
-	At     string `json:"at"`
-	Dur    string `json:"dur"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (f Fault) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonFault{
-		Type:   f.Type.String(),
-		Target: f.Target,
-		At:     f.At.String(),
-		Dur:    f.Dur.String(),
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler, rejecting unknown fault
-// names and malformed durations.
-func (f *Fault) UnmarshalJSON(b []byte) error {
-	var jf jsonFault
-	if err := json.Unmarshal(b, &jf); err != nil {
-		return err
-	}
-	t, ok := faults.TypeByName(jf.Type)
-	if !ok {
-		return fmt.Errorf("chaos: unknown fault type %q", jf.Type)
-	}
-	at, err := time.ParseDuration(jf.At)
-	if err != nil {
-		return fmt.Errorf("chaos: bad injection time %q: %v", jf.At, err)
-	}
-	dur, err := time.ParseDuration(jf.Dur)
-	if err != nil {
-		return fmt.Errorf("chaos: bad fault duration %q: %v", jf.Dur, err)
-	}
-	*f = Fault{Type: t, Target: jf.Target, At: at, Dur: dur}
-	return nil
-}
-
 // Schedule is an ordered multi-fault injection plan. Faults are sorted by
 // injection time (ties broken by target, then type) and may overlap or
 // repeat freely — the injector defines overlapping injection as a no-op.
 type Schedule struct {
-	Faults []Fault `json:"faults"`
+	Faults []faults.Spec `json:"faults"`
 }
 
 // String renders the schedule as a compact one-liner.
@@ -140,7 +78,7 @@ outerRed:
 }
 
 // sortFaults puts a fault list into canonical schedule order.
-func sortFaults(fs []Fault) {
+func sortFaults(fs []faults.Spec) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
 		if a.At != b.At {
@@ -195,14 +133,14 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 + rng.Intn(cfg.Budget)
-	fs := make([]Fault, 0, n)
+	fs := make([]faults.Spec, 0, n)
 	atSteps := int64(cfg.Window / (100 * time.Millisecond))
 	if atSteps < 1 {
 		atSteps = 1
 	}
 	durSteps := int64((maxDur-minDur)/time.Second) + 1
 	for i := 0; i < n; i++ {
-		f := Fault{
+		f := faults.Spec{
 			Type:   menu[rng.Intn(len(menu))],
 			Target: rng.Intn(cfg.Nodes),
 			At:     cfg.From + time.Duration(rng.Int63n(atSteps))*100*time.Millisecond,

@@ -126,7 +126,7 @@ func TestSubsetOf(t *testing.T) {
 		}
 	}
 	// A shortened duration is not the same fault.
-	mod := Schedule{Faults: append([]Fault(nil), s.Faults...)}
+	mod := Schedule{Faults: append([]faults.Spec(nil), s.Faults...)}
 	for i := range mod.Faults {
 		if mod.Faults[i].Dur > time.Second {
 			mod.Faults[i].Dur /= 2
@@ -142,10 +142,10 @@ func TestSubsetOf(t *testing.T) {
 // the schedule fails iff it contains both an app-crash and a link-down.
 // The shrinker must find a 2-fault subset of the 6-fault original.
 func TestShrinkDdmin(t *testing.T) {
-	mk := func(t faults.Type, node int, at, dur time.Duration) Fault {
-		return Fault{Type: t, Target: node, At: at, Dur: dur}
+	mk := func(t faults.Type, node int, at, dur time.Duration) faults.Spec {
+		return faults.Spec{Type: t, Target: node, At: at, Dur: dur}
 	}
-	orig := Schedule{Faults: []Fault{
+	orig := Schedule{Faults: []faults.Spec{
 		mk(faults.NodeHang, 0, 10*time.Second, 8*time.Second),
 		mk(faults.AppCrash, 1, 12*time.Second, 0),
 		mk(faults.MemoryPinning, 2, 14*time.Second, 6*time.Second),
@@ -190,7 +190,7 @@ func TestShrinkDdmin(t *testing.T) {
 // ddmin should drop the other fault and the duration pass should halve
 // the survivor down to the 4 s threshold.
 func TestShrinkHalvesDurations(t *testing.T) {
-	orig := Schedule{Faults: []Fault{
+	orig := Schedule{Faults: []faults.Spec{
 		{Type: faults.LinkDown, Target: 1, At: 10 * time.Second, Dur: 24 * time.Second},
 		{Type: faults.NodeHang, Target: 2, At: 12 * time.Second, Dur: 16 * time.Second},
 	}}

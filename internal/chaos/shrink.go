@@ -1,6 +1,10 @@
 package chaos
 
-import "time"
+import (
+	"time"
+
+	"vivo/internal/faults"
+)
 
 // Shrink minimizes a failing schedule by delta debugging. test must
 // return true when the candidate schedule still fails (re-running it
@@ -21,7 +25,7 @@ import "time"
 func Shrink(s Schedule, test func(Schedule) bool) (Schedule, int) {
 	evals := 0
 	cache := map[string]bool{}
-	check := func(fs []Fault) bool {
+	check := func(fs []faults.Spec) bool {
 		cand := Schedule{Faults: fs}
 		k := cand.Key()
 		if v, ok := cache[k]; ok {
@@ -33,7 +37,7 @@ func Shrink(s Schedule, test func(Schedule) bool) (Schedule, int) {
 		return v
 	}
 
-	cur := append([]Fault(nil), s.Faults...)
+	cur := append([]faults.Spec(nil), s.Faults...)
 	cur = ddmin(cur, check)
 
 	// Halve durations one fault at a time, longest first effect-wise:
@@ -44,7 +48,7 @@ func Shrink(s Schedule, test func(Schedule) bool) (Schedule, int) {
 			if half < time.Second {
 				half = time.Second
 			}
-			cand := append([]Fault(nil), cur...)
+			cand := append([]faults.Spec(nil), cur...)
 			cand[i].Dur = half
 			if !check(cand) {
 				break
@@ -59,7 +63,7 @@ func Shrink(s Schedule, test func(Schedule) bool) (Schedule, int) {
 // the fault list. check(nil) is never attempted (an empty schedule cannot
 // fail a schedule-triggered oracle, and if it could, the repro would be
 // trivial anyway).
-func ddmin(fs []Fault, check func([]Fault) bool) []Fault {
+func ddmin(fs []faults.Spec, check func([]faults.Spec) bool) []faults.Spec {
 	cur := fs
 	n := 2
 	for len(cur) >= 2 {
@@ -108,11 +112,11 @@ func ddmin(fs []Fault, check func([]Fault) bool) []Fault {
 }
 
 // chunks splits fs into n contiguous, near-equal pieces.
-func chunks(fs []Fault, n int) [][]Fault {
+func chunks(fs []faults.Spec, n int) [][]faults.Spec {
 	if n > len(fs) {
 		n = len(fs)
 	}
-	out := make([][]Fault, 0, n)
+	out := make([][]faults.Spec, 0, n)
 	start := 0
 	for i := 0; i < n; i++ {
 		end := start + (len(fs)-start)/(n-i)
@@ -123,8 +127,8 @@ func chunks(fs []Fault, n int) [][]Fault {
 }
 
 // complement returns fs minus chunk i (a fresh slice).
-func complement(fs []Fault, cs [][]Fault, i int) []Fault {
-	out := make([]Fault, 0, len(fs)-len(cs[i]))
+func complement(fs []faults.Spec, cs [][]faults.Spec, i int) []faults.Spec {
+	out := make([]faults.Spec, 0, len(fs)-len(cs[i]))
 	for j, c := range cs {
 		if j != i {
 			out = append(out, c...)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vivo/internal/experiments"
+	"vivo/internal/faults"
 	"vivo/internal/obs"
 	"vivo/internal/press"
 	"vivo/internal/sim"
@@ -126,7 +127,7 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 	// Draw every cycle's schedule up front and translate it to absolute
 	// kernel times; the injector validates all of it before the kernel
 	// runs.
-	var specs []obs.FaultSpec
+	var specs []faults.Spec
 	scheds := make([]Schedule, opt.Cycles+1)
 	checkpoints := make([]sim.Time, 0, opt.Cycles+1)
 	for c := 1; c <= opt.Cycles; c++ {
@@ -134,7 +135,8 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 		s := Generate(scheduleSeed(deriveSeed(opt.Seed, c)), gen)
 		scheds[c] = s
 		for _, f := range s.Faults {
-			specs = append(specs, obs.FaultSpec{Type: f.Type, Target: f.Target, At: base + f.At, Dur: f.Dur})
+			f.At += base
+			specs = append(specs, f)
 		}
 	}
 	for c := 1; c <= opt.Cycles+1; c++ {
@@ -220,7 +222,7 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 // unionSchedule flattens per-cycle schedules into one (cycle-relative
 // times, for display only).
 func unionSchedule(scheds []Schedule) Schedule {
-	var fs []Fault
+	var fs []faults.Spec
 	for _, s := range scheds {
 		fs = append(fs, s.Faults...)
 	}

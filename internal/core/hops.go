@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"vivo/internal/latency"
+	"vivo/internal/metrics"
 )
 
 // This file is the per-hop latency view of stage extraction: instead of
@@ -18,16 +18,14 @@ import (
 // extraction layer, which does not know how hops are measured.
 type NamedHop struct {
 	Name string
-	Rec  *latency.Recorder
+	Rec  *metrics.Recorder
 }
 
-// HopProfile is one hop's quantiles segmented into the run's stage
-// windows, plus the pre-fault baseline — the hop-resolved companion of
-// StageLatencies.
+// HopProfile is one hop's StageLatencies: its quantiles segmented into
+// the run's stage windows, plus the pre-fault baseline.
 type HopProfile struct {
 	Hop string
-	Pre latency.Quantiles
-	Q   [NumStages]latency.Quantiles
+	StageLatencies
 }
 
 // StageHops segments each hop's samples over the run's shared
@@ -40,14 +38,7 @@ func StageHops(obs RunObservation, hops []NamedHop) []HopProfile {
 	w := StageWindows(obs)
 	out := make([]HopProfile, 0, len(hops))
 	for _, h := range hops {
-		p := HopProfile{Hop: h.Name}
-		p.Pre = h.Rec.Window(w.Pre.From, w.Pre.To)
-		for s := StageA; s < NumStages; s++ {
-			if w.Valid[s] {
-				p.Q[s] = h.Rec.Window(w.Stage[s].From, w.Stage[s].To)
-			}
-		}
-		out = append(out, p)
+		out = append(out, HopProfile{Hop: h.Name, StageLatencies: stageLatencies(w, h.Rec)})
 	}
 	return out
 }

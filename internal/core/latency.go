@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vivo/internal/latency"
+	"vivo/internal/metrics"
 )
 
 // StageLatencies is the latency side of the 7-stage extraction: the
@@ -28,8 +29,13 @@ const preWindow = 20 * time.Second
 // the end-to-end latency extractor over the shared StageWindows
 // segmentation. For instantaneous faults the whole observable response
 // is one degraded window (stage C), mirroring Extract.
-func ExtractLatency(obs RunObservation, rec *latency.Recorder) StageLatencies {
-	w := StageWindows(obs)
+func ExtractLatency(obs RunObservation, rec *metrics.Recorder) StageLatencies {
+	return stageLatencies(StageWindows(obs), rec)
+}
+
+// stageLatencies windows rec's samples over w: the baseline and every
+// observable stage.
+func stageLatencies(w Windows, rec *metrics.Recorder) StageLatencies {
 	var sl StageLatencies
 	sl.Pre = rec.Window(w.Pre.From, w.Pre.To)
 	for s := StageA; s < NumStages; s++ {
@@ -43,14 +49,14 @@ func ExtractLatency(obs RunObservation, rec *latency.Recorder) StageLatencies {
 // FaultWindow returns the quantiles of the whole component-fault window
 // [Injected, Repaired) — the degraded service a client actually saw,
 // regardless of how the stages subdivide it.
-func FaultWindow(obs RunObservation, rec *latency.Recorder) latency.Quantiles {
+func FaultWindow(obs RunObservation, rec *metrics.Recorder) latency.Quantiles {
 	return rec.Window(obs.Injected, obs.Repaired)
 }
 
 // RecoveredWindow returns the quantiles of the final tail window
 // [End-30s, End), the regime the run converged to (the same window
 // Extract's tail level uses).
-func RecoveredWindow(obs RunObservation, rec *latency.Recorder) latency.Quantiles {
+func RecoveredWindow(obs RunObservation, rec *metrics.Recorder) latency.Quantiles {
 	return rec.Window(obs.End-30*time.Second, obs.End)
 }
 

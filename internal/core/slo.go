@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vivo/internal/latency"
+	"vivo/internal/metrics"
 	"vivo/internal/sim"
 )
 
@@ -63,7 +64,7 @@ const WorstMinCount = 10
 // segmentation. The Frac synthesis mirrors Extract's throughput
 // fallbacks case for case, so the folded SLO availability weighs each
 // stage with the regime Extract would report for it.
-func ExtractSLO(obs RunObservation, rec *latency.Recorder, target time.Duration) SLOProfile {
+func ExtractSLO(obs RunObservation, rec *metrics.Recorder, target time.Duration) SLOProfile {
 	w := StageWindows(obs)
 	p := SLOProfile{Target: target}
 	p.Pre = rec.WindowUnder(w.Pre.From, w.Pre.To, target)

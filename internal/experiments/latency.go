@@ -71,7 +71,7 @@ func latencyRow(fr FaultRun) LatencyRow {
 		Recovered: core.RecoveredWindow(fr.Obs, fr.Latency),
 		Stages:    *fr.StageLat,
 	}
-	row.WorstP99At, row.WorstP99 = fr.Latency.Timeline().WorstP99(worstMinCount)
+	row.WorstP99At, row.WorstP99 = fr.Latency.LatencyTimeline().WorstP99(worstMinCount)
 	return row
 }
 
@@ -132,7 +132,7 @@ func RenderLatencyTimeline(fr FaultRun) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s under %s (offered %.0f req/s), per-request latency\n",
 		fr.Version, fr.Fault, fr.OfferedLoad)
-	fmt.Fprint(&b, fr.Latency.Timeline().String())
+	fmt.Fprint(&b, fr.Latency.LatencyTimeline().String())
 	fmt.Fprintf(&b, "stage profile:\n%s", fr.StageLat.String())
 	return b.String()
 }

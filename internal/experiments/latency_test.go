@@ -18,7 +18,7 @@ func latencyReport(fr FaultRun) string {
 	var b strings.Builder
 	b.WriteString(RenderLatencyTimeline(fr))
 	b.WriteString(fr.Latency.Total().Dump())
-	b.WriteString(fr.Latency.Timeline().CSV())
+	b.WriteString(fr.Latency.LatencyTimeline().CSV())
 	return b.String()
 }
 

@@ -53,7 +53,7 @@ type MultiFaultResult struct {
 // lossRun runs one experiment (zero, one or two faults) and returns total
 // offered and served counts over the whole run — a bare obs.Harness
 // configuration with no probes: only the recorder's totals matter.
-func lossRun(v press.Version, opt Options, schedule []obs.FaultSpec) (served, failed int64) {
+func lossRun(v press.Version, opt Options, schedule []faults.Spec) (served, failed int64) {
 	h := obs.Harness{
 		Seed:    opt.Seed*555 + int64(v),
 		Config:  opt.Config(v),
@@ -80,18 +80,18 @@ func MultiFaultStudy(v press.Version, opt Options) []MultiFaultResult {
 	// B-only and overlapping runs.
 	runs := make([]counts, 1+3*len(scenarios))
 	ForEach(len(runs), opt.workers(), func(j int) {
-		var schedule []obs.FaultSpec
+		var schedule []faults.Spec
 		if j > 0 {
 			sc := scenarios[(j-1)/3]
-			specA := obs.FaultSpec{Type: sc.A, Target: sc.NodeA, At: injectAt, Dur: opt.FaultDuration}
-			specB := obs.FaultSpec{Type: sc.B, Target: sc.NodeB, At: injectAt + sc.Offset, Dur: opt.FaultDuration}
+			specA := faults.Spec{Type: sc.A, Target: sc.NodeA, At: injectAt, Dur: opt.FaultDuration}
+			specB := faults.Spec{Type: sc.B, Target: sc.NodeB, At: injectAt + sc.Offset, Dur: opt.FaultDuration}
 			switch (j - 1) % 3 {
 			case 0:
-				schedule = []obs.FaultSpec{specA}
+				schedule = []faults.Spec{specA}
 			case 1:
-				schedule = []obs.FaultSpec{specB}
+				schedule = []faults.Spec{specB}
 			case 2:
-				schedule = []obs.FaultSpec{specA, specB}
+				schedule = []faults.Spec{specA, specB}
 			}
 		}
 		s, f := lossRun(v, opt, schedule)

@@ -44,7 +44,7 @@ type Options struct {
 	// and RunCampaign memoizes ignoring this field.
 	Parallel int
 
-	// Latency attaches a latency recorder to every run: FaultRun.Latency
+	// Latency turns on latency tracking in every run: FaultRun.Latency
 	// and FaultRun.StageLat are filled, and traced runs additionally emit
 	// per-request duration spans. Recording draws no randomness and
 	// schedules no events, so results are bit-identical with the flag on

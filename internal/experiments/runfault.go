@@ -8,7 +8,6 @@ import (
 
 	"vivo/internal/core"
 	"vivo/internal/faults"
-	"vivo/internal/latency"
 	"vivo/internal/metrics"
 	"vivo/internal/obs"
 	"vivo/internal/press"
@@ -32,10 +31,10 @@ type FaultRun struct {
 	OfferedLoad float64
 
 	// Latency and StageLat are filled only when Options.Latency is set:
-	// the run's end-to-end latency recorder (per-second histogram bins)
-	// and the per-stage quantile profile segmented by the same boundary
-	// instants Measured uses.
-	Latency  *latency.Recorder
+	// the run's recorder, tracking end-to-end latency in its per-second
+	// bins, and the per-stage quantile profile segmented by the same
+	// boundary instants Measured uses.
+	Latency  *metrics.Recorder
 	StageLat *core.StageLatencies
 
 	// SLO is filled only when Options.SLO is positive: the per-stage
@@ -92,17 +91,15 @@ func RunFaultTrace(v press.Version, ft faults.Type, opt Options, sink trace.Sink
 		Seed:   seed,
 		Config: cfg,
 		Rate:   offered,
-		Faults: []obs.FaultSpec{
+		Faults: []faults.Spec{
 			{Type: ft, Target: TargetNode, At: injectAt, Dur: opt.FaultDuration},
 		},
 		LoadFor: end,
 		Sink:    sink,
 	}
 	probes := []obs.Probe{&obs.Throughput{}}
-	var lat *obs.Latency
 	if opt.Latency || opt.SLO > 0 || opt.Hops {
-		lat = &obs.Latency{}
-		probes = append(probes, lat)
+		probes = append(probes, obs.Latency{})
 	}
 	var hops *obs.Hops
 	if opt.Hops {
@@ -152,13 +149,13 @@ func RunFaultTrace(v press.Version, ft faults.Type, opt Options, sink trace.Sink
 		Measured:    core.Extract(obsr),
 		OfferedLoad: offered,
 	}
-	if lat != nil && opt.Latency {
-		sl := core.ExtractLatency(obsr, lat.Rec)
-		fr.Latency = lat.Rec
+	if opt.Latency {
+		sl := core.ExtractLatency(obsr, run.Rec)
+		fr.Latency = run.Rec
 		fr.StageLat = &sl
 	}
-	if lat != nil && opt.SLO > 0 {
-		p := core.ExtractSLO(obsr, lat.Rec, opt.SLO)
+	if opt.SLO > 0 {
+		p := core.ExtractSLO(obsr, run.Rec, opt.SLO)
 		fr.SLO = &p
 		fr.Measured.ApplySLO(p)
 	}

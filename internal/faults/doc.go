@@ -17,6 +17,10 @@
 // after the scheduled downtime and marked with [MarkRepaired];
 // instantaneous faults leave repair to the deployment's restart daemon.
 //
+// [Spec] is one scheduled fault (type, target, injection time,
+// duration), with the compact string and JSON forms chaos schedules,
+// repro artifacts and obs.Harness fault lists all share.
+//
 // # Worked example
 //
 // An injector binds a kernel, a deployment and a recorder; experiments

@@ -1,10 +1,6 @@
 package latency
 
-import (
-	"time"
-
-	"vivo/internal/sim"
-)
+import "time"
 
 // This file is the SLO side of the latency subsystem: counting how many
 // requests finished at or under a latency threshold. The counts feed
@@ -54,52 +50,4 @@ func (c SLOCount) Fraction() float64 {
 		return 1
 	}
 	return float64(c.Under) / float64(c.Total())
-}
-
-// WindowUnder counts the bins whose start lies in [from, to) against the
-// threshold — the SLO companion of Window.
-func (r *Recorder) WindowUnder(from, to sim.Time, slo time.Duration) SLOCount {
-	var h Histogram
-	var c SLOCount
-	for i := range r.hists {
-		at := time.Duration(i) * r.bin
-		if at >= from && at < to {
-			h.Merge(r.hists[i])
-			c.Failed += r.failed[i]
-		}
-	}
-	c.Served = h.Count()
-	c.Under = h.CountUnder(slo)
-	return c
-}
-
-// TotalUnder counts the whole run against the threshold.
-func (r *Recorder) TotalUnder(slo time.Duration) SLOCount {
-	return SLOCount{
-		Under:  r.total.CountUnder(slo),
-		Served: r.total.Count(),
-		Failed: r.totalFailed,
-	}
-}
-
-// WorstWindowUnder scans the per-bin fractions and returns the worst
-// (lowest) one with its bin start — the SLO analogue of WorstP99. Bins
-// with fewer than minTotal settled requests are skipped as noise. When no
-// bin qualifies the fraction is 1 at time 0.
-func (r *Recorder) WorstWindowUnder(slo time.Duration, minTotal int64) (at sim.Time, frac float64) {
-	frac = 1
-	for i := range r.hists {
-		c := SLOCount{
-			Under:  r.hists[i].CountUnder(slo),
-			Served: r.hists[i].Count(),
-			Failed: r.failed[i],
-		}
-		if c.Total() < minTotal {
-			continue
-		}
-		if f := c.Fraction(); f < frac {
-			at, frac = time.Duration(i)*r.bin, f
-		}
-	}
-	return at, frac
 }

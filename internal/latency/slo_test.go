@@ -65,54 +65,3 @@ func TestSLOCountFraction(t *testing.T) {
 		t.Fatalf("Fraction = %v, want 0.6 (failures are violations)", f)
 	}
 }
-
-func TestWindowUnder(t *testing.T) {
-	r := NewBinned(time.Second)
-	// Bin 0: two fast. Bin 5: one fast, one slow, one failure. Bin 9: slow.
-	r.RecordAt(100*time.Millisecond, time.Millisecond, true)
-	r.RecordAt(900*time.Millisecond, 2*time.Millisecond, true)
-	r.RecordAt(5*time.Second, time.Millisecond, true)
-	r.RecordAt(5500*time.Millisecond, 3*time.Second, true)
-	r.RecordAt(5600*time.Millisecond, 0, false)
-	r.RecordAt(9*time.Second, 2*time.Second, true)
-
-	slo := 100 * time.Millisecond
-	all := r.TotalUnder(slo)
-	if all.Under != 3 || all.Served != 5 || all.Failed != 1 {
-		t.Fatalf("TotalUnder = %+v", all)
-	}
-	w := r.WindowUnder(5*time.Second, 6*time.Second, slo)
-	if w.Under != 1 || w.Served != 2 || w.Failed != 1 {
-		t.Fatalf("WindowUnder bin 5 = %+v", w)
-	}
-	if f := w.Fraction(); f != 1.0/3 {
-		t.Fatalf("bin-5 fraction = %v, want 1/3", f)
-	}
-	if e := r.WindowUnder(2*time.Second, 4*time.Second, slo); e.Total() != 0 || e.Fraction() != 1 {
-		t.Fatalf("empty window = %+v frac=%v", e, e.Fraction())
-	}
-}
-
-func TestWorstWindowUnder(t *testing.T) {
-	r := NewBinned(time.Second)
-	slo := 10 * time.Millisecond
-	// Bin 1: 20 fast (frac 1). Bin 3: 10 fast + 10 slow (frac 0.5).
-	// Bin 7: 1 slow — below minTotal, must be skipped.
-	for i := 0; i < 20; i++ {
-		r.RecordAt(time.Second+time.Duration(i)*time.Millisecond, time.Millisecond, true)
-	}
-	for i := 0; i < 10; i++ {
-		r.RecordAt(3*time.Second+time.Duration(i)*time.Millisecond, time.Millisecond, true)
-		r.RecordAt(3*time.Second+time.Duration(10+i)*time.Millisecond, time.Second, true)
-	}
-	r.RecordAt(7*time.Second, time.Second, true)
-
-	at, frac := r.WorstWindowUnder(slo, 10)
-	if at != 3*time.Second || frac != 0.5 {
-		t.Fatalf("worst = %v at %v, want 0.5 at 3s", frac, at)
-	}
-	// With the floor above every bin, the default (0, 1) comes back.
-	if at, frac := r.WorstWindowUnder(slo, 1000); at != 0 || frac != 1 {
-		t.Fatalf("no qualifying bin: got %v at %v", frac, at)
-	}
-}

@@ -23,6 +23,18 @@
 // markers (cmd/faultinject's default output). [Recorder.Totals] and
 // [Recorder.Availability] give the end-of-run aggregates.
 //
+// # Latency
+//
+// The recorder is also the one place per-second latency is binned. After
+// [Recorder.TrackLatency], each bin holds a [vivo/internal/latency]
+// histogram of its served requests' end-to-end latencies, and
+// [Recorder.Settle] files an outcome and its latency in one bin at once.
+// The latency queries read those bins: [Recorder.Window] and
+// [Recorder.WindowUnder] merge a time window into quantiles or an SLO
+// count (failures come from the bins' fail counts), the Total variants
+// merge every bin, and [Recorder.LatencyTimeline] gives the per-bin
+// percentiles. Without tracking no histogram is allocated.
+//
 // The recorder is deliberately coarse: it sees outcomes, not causes. For
 // event-level visibility — which send stalled, when a heartbeat was
 // missed, which node changed its membership view — wire a

@@ -50,20 +50,21 @@ type Mark struct {
 }
 
 // Recorder accumulates request outcomes into fixed-width time bins.
-// The zero value is not usable; construct with NewRecorder.
+// With latency tracking on (TrackLatency), each bin also holds a
+// histogram of its served requests' end-to-end latencies; latency.go
+// holds the queries over them. The zero value is not usable; construct
+// with NewRecorder.
 type Recorder struct {
 	k     *sim.Kernel
 	bin   time.Duration
-	ok    []int64 // per-bin served counts
-	fail  []int64 // per-bin failed counts
+	ok    []int64              // per-bin served counts
+	fail  []int64              // per-bin failed counts
+	lat   []*latency.Histogram // per-bin served latencies; nil unless tracking
 	marks []Mark
 
 	totalOK   int64
 	totalFail int64
 	byOutcome [4]int64 // cumulative count per Outcome value
-
-	// lat, when non-nil, receives per-request latencies (see latency.go).
-	lat *latency.Recorder
 }
 
 // NewRecorder returns a recorder that bins outcomes into windows of width
@@ -79,12 +80,36 @@ func NewRecorder(k *sim.Kernel, bin time.Duration) *Recorder {
 func (r *Recorder) BinWidth() time.Duration { return r.bin }
 
 // Record files one request outcome at the current virtual time.
-func (r *Recorder) Record(o Outcome) {
-	idx := int(r.k.Now() / r.bin)
+func (r *Recorder) Record(o Outcome) { r.count(r.slot(r.k.Now()), o) }
+
+// Settle files one request outcome at virtual time at and, when latency
+// tracking is on and the request was served, its end-to-end latency d in
+// the same bin. Failed requests are counted, never mixed into the
+// percentile population: their "latency" is a client timeout, not a
+// service time. The settle instant, not the birth, picks the bin.
+func (r *Recorder) Settle(at sim.Time, o Outcome, d time.Duration) {
+	i := r.slot(at)
+	r.count(i, o)
+	if o == Served && r.lat != nil {
+		r.lat[i].Observe(d)
+	}
+}
+
+// slot returns the bin index of virtual time at, growing the bins to
+// reach it.
+func (r *Recorder) slot(at sim.Time) int {
+	idx := int(at / r.bin)
 	for len(r.ok) <= idx {
 		r.ok = append(r.ok, 0)
 		r.fail = append(r.fail, 0)
+		if r.lat != nil {
+			r.lat = append(r.lat, &latency.Histogram{})
+		}
 	}
+	return idx
+}
+
+func (r *Recorder) count(idx int, o Outcome) {
 	if o == Served {
 		r.ok[idx]++
 		r.totalOK++

@@ -17,7 +17,7 @@
 //
 //   - Attach(rt) runs after the kernel and throughput recorder exist but
 //     before anything can emit an event. A probe wires itself in here:
-//     register a trace sink with rt.Tee, hang a latency recorder off
+//     register a trace sink with rt.Tee, turn on latency tracking in
 //     rt.Rec, keep rt.K for timestamps.
 //   - Finalize(run) runs after the kernel stops, to fold the run's end
 //     state into the probe's typed result.
@@ -30,9 +30,10 @@
 // (TestHarnessProbesDoNotPerturb pins this).
 //
 // Concrete probes: Throughput (the per-second timeline and marks),
-// Latency (end-to-end per-request histograms), Hops (per-hop
-// decomposition — accept-queue / forward / serve — correlated from the
-// trace's request spans) and QueueDepth (send-path queue-depth
+// Latency (turns on the end-to-end latency histograms in the run's
+// recorder, read back from Run.Rec), Hops (per-hop decomposition —
+// accept-queue / forward / serve — correlated from the trace's request
+// spans into three more latency-tracking recorders) and QueueDepth (send-path queue-depth
 // counters); chaos.EventFold, from outside, folds the stream for the
 // chaos oracles as it arrives. No probe keeps a copy of the run.
 //

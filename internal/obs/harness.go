@@ -13,19 +13,6 @@ import (
 	"vivo/internal/workload"
 )
 
-// FaultSpec is one scheduled fault of a run.
-type FaultSpec struct {
-	Type   faults.Type
-	Target int
-	At     sim.Time
-	Dur    time.Duration
-}
-
-// String names the spec in errors and logs.
-func (f FaultSpec) String() string {
-	return fmt.Sprintf("%s@n%d t=%v dur=%v", f.Type, f.Target, f.At, f.Dur)
-}
-
 // Harness describes one instrumented run: a warm PRESS deployment under
 // steady Poisson load, an optional fault schedule, and an observation
 // horizon. Run executes it with any set of probes attached.
@@ -48,7 +35,7 @@ type Harness struct {
 	Sampler workload.Sampler
 	// Faults is the injection schedule; entries are validated before the
 	// kernel runs, so a bad spec is an error, not a mid-run panic.
-	Faults []FaultSpec
+	Faults []faults.Spec
 	// LoadFor is how long clients generate load (the observation end).
 	LoadFor sim.Time
 	// Drain, when positive, stops the clients at LoadFor and keeps the

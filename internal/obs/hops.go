@@ -3,7 +3,7 @@ package obs
 import (
 	"time"
 
-	"vivo/internal/latency"
+	"vivo/internal/metrics"
 	"vivo/internal/sim"
 	"vivo/internal/trace"
 )
@@ -22,19 +22,20 @@ import (
 //     forwarded requests, admission to completion (EvReqServe) for local
 //     ones.
 //
-// Each hop lands in its own per-second binned recorder (sample time =
-// the hop's completion instant), so the hop profiles window and segment
-// exactly like the end-to-end recorder.
+// Each hop lands in its own latency-tracking metrics.Recorder, filed at
+// the timestamp of the trace event that completes the hop, so the hop
+// profiles window and segment exactly like the end-to-end recorder.
 //
 // Hops requires a Latency probe attached alongside it: the request
-// begin/end spans it correlates on are emitted only when a latency
-// recorder is wired. Without one the hop recorders stay empty. Samples
-// are recorded only for requests still unsettled at the hop — a hop
-// completing after the client gave up is not a client-visible latency.
+// begin/end spans it correlates on are emitted only when the run's
+// recorder tracks latency. Without one the hop recorders stay empty.
+// Samples are recorded only for requests still unsettled at the hop — a
+// hop completing after the client gave up is not a client-visible
+// latency.
 type Hops struct {
 	// Accept, Forward, Serve are the per-hop recorders, usable once
 	// Attach ran.
-	Accept, Forward, Serve *latency.Recorder
+	Accept, Forward, Serve *metrics.Recorder
 
 	state map[uint64]*hopState
 }
@@ -49,11 +50,17 @@ type hopState struct {
 
 // Attach implements Probe.
 func (p *Hops) Attach(rt *Runtime) {
-	p.Accept = latency.NewBinned(time.Second)
-	p.Forward = latency.NewBinned(time.Second)
-	p.Serve = latency.NewBinned(time.Second)
+	p.Accept = hopRecorder(rt)
+	p.Forward = hopRecorder(rt)
+	p.Serve = hopRecorder(rt)
 	p.state = make(map[uint64]*hopState)
 	rt.Tee(hopSink{p})
+}
+
+func hopRecorder(rt *Runtime) *metrics.Recorder {
+	r := metrics.NewRecorder(rt.K, time.Second)
+	r.TrackLatency()
+	return r
 }
 
 // Finalize implements Probe.
@@ -79,7 +86,7 @@ func (hs hopSink) Record(e trace.Event) {
 		if st, ok := p.state[e.ID]; ok && !st.admitted {
 			st.admitted = true
 			st.admitAt = e.TS
-			p.Accept.RecordAt(e.TS, e.TS-st.birth, true)
+			p.Accept.Settle(e.TS, metrics.Served, e.TS-st.birth)
 		}
 	case trace.EvForwardServe:
 		st, ok := p.state[e.ID]
@@ -91,16 +98,16 @@ func (hs hopSink) Record(e trace.Event) {
 			if st.admitted && !st.forwarded {
 				st.forwarded = true
 				st.fwdAt = e.TS
-				p.Forward.RecordAt(e.TS, e.TS-st.admitAt, true)
+				p.Forward.Settle(e.TS, metrics.Served, e.TS-st.admitAt)
 			}
 		case trace.PhEnd:
 			if st.forwarded {
-				p.Serve.RecordAt(e.TS, e.TS-st.fwdAt, true)
+				p.Serve.Settle(e.TS, metrics.Served, e.TS-st.fwdAt)
 			}
 		}
 	case trace.EvReqServe:
 		if st, ok := p.state[e.ID]; ok && st.admitted && !st.forwarded {
-			p.Serve.RecordAt(e.TS, e.TS-st.admitAt, true)
+			p.Serve.Settle(e.TS, metrics.Served, e.TS-st.admitAt)
 		}
 	}
 }

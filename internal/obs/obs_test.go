@@ -30,7 +30,7 @@ func quickHarness(withFault bool) Harness {
 		LoadFor: 20 * time.Second,
 	}
 	if withFault {
-		h.Faults = []FaultSpec{{
+		h.Faults = []faults.Spec{{
 			Type:   faults.NodeCrash,
 			Target: 1,
 			At:     8 * time.Second,
@@ -99,7 +99,7 @@ func TestHarnessIsDeterministic(t *testing.T) {
 
 func TestBadFaultSpecIsAnErrorNotAPanic(t *testing.T) {
 	h := quickHarness(false)
-	h.Faults = []FaultSpec{{Type: faults.NodeCrash, Target: 99, At: time.Second, Dur: time.Second}}
+	h.Faults = []faults.Spec{{Type: faults.NodeCrash, Target: 99, At: time.Second, Dur: time.Second}}
 	if _, err := h.Run(); err == nil {
 		t.Fatal("out-of-range fault target must fail validation")
 	}

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"time"
-
-	"vivo/internal/latency"
 	"vivo/internal/metrics"
 	"vivo/internal/trace"
 )
@@ -22,24 +19,19 @@ func (p *Throughput) Attach(*Runtime) {}
 // Finalize implements Probe.
 func (p *Throughput) Finalize(run *Run) { p.Timeline = run.Rec.Timeline() }
 
-// Latency records every request's end-to-end time (connect attempt to
-// final byte) into per-second histogram bins. Attaching it also switches
-// on the per-request trace spans (EvRequest begin/end) when the run is
-// traced — the workload emits them only when a latency recorder is
-// wired.
-type Latency struct {
-	// Rec is the recorder, usable once Attach ran.
-	Rec *latency.Recorder
-}
+// Latency turns on end-to-end latency tracking (connect attempt to final
+// byte) in the run's recorder, whose per-second bins then each hold a
+// histogram next to their served and failed counts; read it from
+// Run.Rec. Attaching it also switches on the per-request trace spans
+// (EvRequest begin/end) when the run is traced — the workload emits them
+// only when its recorder tracks latency.
+type Latency struct{}
 
 // Attach implements Probe.
-func (p *Latency) Attach(rt *Runtime) {
-	p.Rec = latency.NewRecorder(rt.K, time.Second)
-	rt.Rec.SetLatency(p.Rec)
-}
+func (Latency) Attach(rt *Runtime) { rt.Rec.TrackLatency() }
 
 // Finalize implements Probe.
-func (p *Latency) Finalize(*Run) {}
+func (Latency) Finalize(*Run) {}
 
 // QueueDepth aggregates the send-path queue-depth counter events into
 // per-series maxima and sample counts: EvOutQ (the kernel-buffer

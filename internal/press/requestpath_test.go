@@ -1,6 +1,7 @@
 package press
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -76,19 +77,28 @@ func TestForwardRoundTripAllocatesOnlyTheRequest(t *testing.T) {
 // WarmStart fills caches and directories in storage sized when the
 // servers started: its allocations do not grow with the working set.
 func TestWarmStartAllocationsIndependentOfWorkingSet(t *testing.T) {
+	// MemStats.Mallocs is process-wide: a stray runtime allocation during
+	// one measured call can only add to its count. The minimum over fresh
+	// deployments filters those out, while an allocation that scales with
+	// the working set shows up in every sample and still fails the test.
+	const samples = 5
 	warmStartAllocs := func(files int) uint64 {
-		cfg := testConfig(TCPPressHB)
-		cfg.WorkingSetFiles = files
-		d := NewDeployment(sim.New(1), cfg)
-		d.Start()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		d.WarmStart()
-		runtime.ReadMemStats(&m1)
-		if got := d.Server(0).CacheLen(); got != 2048 {
-			t.Fatalf("%d files: node 0 caches %d, want a full cache of 2048", files, got)
+		least := uint64(math.MaxUint64)
+		for range samples {
+			cfg := testConfig(TCPPressHB)
+			cfg.WorkingSetFiles = files
+			d := NewDeployment(sim.New(1), cfg)
+			d.Start()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			d.WarmStart()
+			runtime.ReadMemStats(&m1)
+			if got := d.Server(0).CacheLen(); got != 2048 {
+				t.Fatalf("%d files: node 0 caches %d, want a full cache of 2048", files, got)
+			}
+			least = min(least, m1.Mallocs-m0.Mallocs)
 		}
-		return m1.Mallocs - m0.Mallocs
+		return least
 	}
 	small, large := warmStartAllocs(9500), warmStartAllocs(38000)
 	t.Logf("WarmStart allocates %d times", small)

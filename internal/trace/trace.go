@@ -97,8 +97,8 @@ const (
 	// EvRequest: the client-side request lifecycle as an async duration
 	// span (Ph = PhBegin at issue, PhEnd at settle; ID = the global
 	// request id, Arg = file id, the end's Note = the outcome). Emitted
-	// only when a latency recorder is attached, so plain traced runs are
-	// unchanged.
+	// only when the run's recorder tracks latency, so plain traced runs
+	// are unchanged.
 	EvRequest = "request"
 	// EvForwardServe: the service-node side of a forwarded request as an
 	// async span under the same ID — together with EvRequest this renders

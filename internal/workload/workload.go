@@ -199,18 +199,17 @@ func (c *Clients) Issued() int64 { return c.issued }
 // value means a request was admitted but never resolved — a lost request.
 func (c *Clients) Unsettled() int64 { return c.issued - c.settled }
 
-// settle records r's outcome, counts the settlement, and — when a latency
-// recorder is attached — files the end-to-end latency and closes r's
-// trace span. Latency recording draws no randomness and schedules
-// nothing, so runs without a recorder are untouched.
+// settle records r's outcome with its end-to-end latency, counts the
+// settlement, and — when the recorder tracks latency — closes r's trace
+// span. Latency recording draws no randomness and schedules nothing, so
+// runs without it are untouched.
 func (c *Clients) settle(r *Request, o metrics.Outcome) {
 	c.settled++
-	c.rec.Record(o)
-	if c.rec.Latency() == nil {
+	now := c.k.Now()
+	c.rec.Settle(now, o, now-r.birth)
+	if !c.rec.TracksLatency() {
 		return
 	}
-	now := c.k.Now()
-	c.rec.RecordLatency(now-r.birth, o)
 	if trc := c.k.Tracer(); trc.Enabled() {
 		trc.Emit(trace.Event{
 			TS: now, Cat: trace.Request, Name: trace.EvRequest,
@@ -265,7 +264,7 @@ func (c *Clients) issue() {
 	c.rr++
 	c.issued++
 	r := &Request{ID: uint64(c.issued), File: c.trace.Next(), Node: node, clients: c, birth: c.k.Now()}
-	if c.rec.Latency() != nil {
+	if c.rec.TracksLatency() {
 		if trc := c.k.Tracer(); trc.Enabled() {
 			trc.Emit(trace.Event{
 				TS: r.birth, Cat: trace.Request, Name: trace.EvRequest,
