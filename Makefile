@@ -8,7 +8,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify vet race race-full race-fast golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke fuzz-smoke bench-smoke bench-test bench-json ci bench-campaign
+.PHONY: all build test verify vet race race-full race-fast golden pressbench-smoke trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke fuzz-smoke bench-smoke bench-test bench-json ci bench-campaign
 
 all: verify
 
@@ -57,6 +57,17 @@ race-fast:
 #   go test ./internal/experiments -run TestGoldenSeed1 -update -timeout 60m
 golden:
 	$(GO) test ./internal/experiments -run TestGoldenSeed1 -timeout 60m -v
+
+# pressbench smoke test: every section once at quick scale, sharing one
+# campaign (~3 min at -parallel 2 on a 2-core box), so a section that
+# panics fails CI. It also checks that the run reached its end and that
+# the scaling study printed its largest cluster.
+PRESSBENCH_SMOKE_OUT = /tmp/vivo-pressbench-smoke.txt
+pressbench-smoke:
+	$(GO) run ./cmd/pressbench -parallel 2 > $(PRESSBENCH_SMOKE_OUT)
+	grep -qE '^ +8 +[0-9]+ +0\.[0-9]+$$' $(PRESSBENCH_SMOKE_OUT)
+	grep -q '^total wall time' $(PRESSBENCH_SMOKE_OUT)
+	rm -f $(PRESSBENCH_SMOKE_OUT)
 
 # Trace smoke test: capture a short traced fault run twice, check the
 # two files are byte-identical (determinism) and structurally valid
@@ -191,7 +202,7 @@ bench-smoke:
 bench-json:
 	bash bench/run.sh -seed 1 -runs 3 -layers
 
-ci: vet verify race golden trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke fuzz-smoke bench-smoke bench-test
+ci: vet verify race golden pressbench-smoke trace-smoke lat-smoke slo-smoke chaos-smoke chaos-guided-smoke soak-smoke fuzz-smoke bench-smoke bench-test
 
 # Serial vs parallel full-campaign wall clock (see EXPERIMENTS.md,
 # "Runtime"). Each iteration is a complete 60-run campaign.

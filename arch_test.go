@@ -186,3 +186,40 @@ func TestChaosHasOneSearchLoop(t *testing.T) {
 		t.Errorf("%s non-test sources contain %d %s call sites, want exactly 1", pkgChaos, n, call)
 	}
 }
+
+// A deployment's node count is Config.Nodes, and press.NewDeployment
+// alone turns it into a fabric. Any other non-test cluster.New call
+// could build hardware that disagrees with the deployment it serves.
+func TestOnlyTheDeploymentBuildsTheFabric(t *testing.T) {
+	const call = "cluster.New("
+	out, err := exec.Command("go", "list", "-json", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
+	}
+	dec := json.NewDecoder(strings.NewReader(string(out)))
+	sites := 0
+	for dec.More() {
+		var info struct {
+			ImportPath string
+			Dir        string
+			GoFiles    []string
+		}
+		if err := dec.Decode(&info); err != nil {
+			t.Fatalf("decode go list output: %v", err)
+		}
+		for _, f := range info.GoFiles {
+			src, err := os.ReadFile(filepath.Join(info.Dir, f))
+			if err != nil {
+				t.Fatalf("read %s: %v", f, err)
+			}
+			n := strings.Count(string(src), call)
+			if n > 0 && info.ImportPath != pkgPress {
+				t.Errorf("%s/%s calls %s; build a press.Deployment instead", info.ImportPath, f, call)
+			}
+			sites += n
+		}
+	}
+	if sites == 0 {
+		t.Errorf("no non-test %s call left — the fabric seam has moved; update this test's model of the architecture", call)
+	}
+}

@@ -173,7 +173,7 @@ func BenchmarkCampaignSerial(b *testing.B) { benchCampaign(b, 1) }
 // BenchmarkCampaignSerial (EXPERIMENTS.md records reference numbers).
 func BenchmarkCampaignParallel4(b *testing.B) { benchCampaign(b, 4) }
 
-// ---- Ablations (DESIGN.md §6) ----
+// ---- Ablations (DESIGN.md §8) ----
 
 // BenchmarkAblationHeartbeat sweeps the heartbeat timeout and reports the
 // measured detection latency for a link fault: the detection-speed vs

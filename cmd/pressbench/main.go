@@ -1,5 +1,6 @@
 // Command pressbench regenerates every table and figure of the paper's
-// evaluation section: Table 1, the per-fault timelines behind Figures 2-5,
+// evaluation section: Table 1, the measured stage parameters of Table 2,
+// the per-fault timelines behind Figures 2-5,
 // the modeled unavailability/performability of Figure 6, the pessimistic
 // VIA fault-load scenarios of Figures 7-10, and the ≈4× crossover claim.
 //
@@ -41,9 +42,9 @@ import (
 
 // sections are the valid -only names, in presentation order.
 var sections = []string{
-	"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "latency", "slo", "crossover", "extension", "sweep",
-	"scaling", "multifault",
+	"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+	"fig8", "fig9", "fig10", "latency", "slo", "crossover", "extension",
+	"sweep", "scaling", "multifault",
 }
 
 func main() {
@@ -122,43 +123,19 @@ func main() {
 		fmt.Print(experiments.RenderSLOTable(experiments.SLOTable(sloOpt)))
 	}
 
-	needCampaign := false
-	for _, n := range []string{"fig6", "fig7", "fig8", "fig9", "fig10", "crossover", "extension", "sweep", "scaling"} {
-		if sel(n) {
-			needCampaign = true
-		}
+	needCampaign := sel("scaling")
+	for _, cs := range experiments.CampaignSections {
+		needCampaign = needCampaign || sel(cs.Name)
 	}
 	if needCampaign {
 		section("Phase-1 campaign (5 versions x 11 faults)")
 		c := experiments.RunCampaign(opt)
 		fmt.Printf("campaign done in %v\n", time.Since(start).Round(time.Second))
-		if sel("fig6") {
-			section("Figure 6")
-			fmt.Print(experiments.RenderFigure6(experiments.Figure6(c)))
-		}
-		if sel("fig7") {
-			section("Figure 7")
-			fmt.Print(experiments.RenderScenario("Performability with VIA packet drops (reset the channel; TCP unaffected)", experiments.Figure7(c)))
-		}
-		if sel("fig8") {
-			section("Figure 8")
-			fmt.Print(experiments.RenderScenario("Performability with extra VIA software bugs (TCP at 1/month)", experiments.Figure8(c)))
-		}
-		if sel("fig9") {
-			section("Figure 9")
-			fmt.Print(experiments.RenderScenario("Performability with VIA system faults (switch-crash-like)", experiments.Figure9(c)))
-		}
-		if sel("fig10") {
-			section("Figure 10")
-			fmt.Print(experiments.RenderScenario("Performability under the combined pessimistic VIA load", experiments.Figure10(c)))
-		}
-		if sel("crossover") {
-			section("Crossover (the paper's ~4x claim)")
-			fmt.Print(experiments.RenderCrossover(experiments.Crossover(c)))
-		}
-		if sel("sweep") {
-			section("Application-fault-rate sweep (beyond the paper's two points)")
-			fmt.Print(experiments.RenderAppRateSweep(c))
+		for _, cs := range experiments.CampaignSections {
+			if sel(cs.Name) {
+				section(cs.Title)
+				fmt.Print(cs.Render(c))
+			}
 		}
 		if sel("scaling") {
 			section("Cluster-size scaling (extension study)")

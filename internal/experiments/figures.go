@@ -349,3 +349,33 @@ func RenderCrossover(rows []CrossoverRow) string {
 	}
 	return b.String()
 }
+
+// CampaignSection is one pressbench section computed from the phase-1
+// campaign alone: pure arithmetic on a Campaign, no simulation.
+type CampaignSection struct {
+	Name   string // the pressbench -only name
+	Title  string // the section heading
+	Render func(*Campaign) string
+}
+
+// CampaignSections lists those sections in presentation order.
+// TestGoldenSeed1 renders each from the quick seed-1 campaign and
+// compares it with its section of results/quick_campaign.txt.
+var CampaignSections = []CampaignSection{
+	{"table2", "Table 2", RenderTable2},
+	{"fig6", "Figure 6", func(c *Campaign) string { return RenderFigure6(Figure6(c)) }},
+	{"fig7", "Figure 7", func(c *Campaign) string {
+		return RenderScenario("Performability with VIA packet drops (reset the channel; TCP unaffected)", Figure7(c))
+	}},
+	{"fig8", "Figure 8", func(c *Campaign) string {
+		return RenderScenario("Performability with extra VIA software bugs (TCP at 1/month)", Figure8(c))
+	}},
+	{"fig9", "Figure 9", func(c *Campaign) string {
+		return RenderScenario("Performability with VIA system faults (switch-crash-like)", Figure9(c))
+	}},
+	{"fig10", "Figure 10", func(c *Campaign) string {
+		return RenderScenario("Performability under the combined pessimistic VIA load", Figure10(c))
+	}},
+	{"crossover", "Crossover (the paper's ~4x claim)", func(c *Campaign) string { return RenderCrossover(Crossover(c)) }},
+	{"sweep", "Application-fault-rate sweep (beyond the paper's two points)", RenderAppRateSweep},
+}

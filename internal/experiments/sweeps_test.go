@@ -75,19 +75,31 @@ func TestRescaleFraction(t *testing.T) {
 	}
 }
 
+// The scaling study runs at the sizes pressbench prints, and each size
+// adds at least half its extra nodes' share of capacity.
 func TestClusterScalingThroughputGrows(t *testing.T) {
 	c := fakeCampaign()
 	opt := testOpt()
-	rows := ClusterScaling(c, press.VIAPress5, []int{2, 4}, opt)
-	if len(rows) != 2 {
+	sizes := []int{2, 4, 6, 8}
+	rows := ClusterScaling(c, press.VIAPress5, sizes, opt)
+	if len(rows) != len(sizes) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if rows[1].Throughput < rows[0].Throughput*1.5 {
-		t.Fatalf("throughput did not scale: %v -> %v", rows[0].Throughput, rows[1].Throughput)
-	}
-	for _, r := range rows {
+	for i, r := range rows {
+		if r.Nodes != sizes[i] {
+			t.Fatalf("row %d is %d nodes, want %d", i, r.Nodes, sizes[i])
+		}
 		if r.Availability <= 0.9 || r.Availability >= 1 {
 			t.Fatalf("availability out of band at %d nodes: %v", r.Nodes, r.Availability)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := rows[i-1]
+		growth := 1 + 0.5*float64(r.Nodes-prev.Nodes)/float64(prev.Nodes)
+		if r.Throughput < prev.Throughput*growth {
+			t.Fatalf("throughput did not scale from %d to %d nodes: %.0f -> %.0f (want >= %.2fx)",
+				prev.Nodes, r.Nodes, prev.Throughput, r.Throughput, growth)
 		}
 	}
 }

@@ -221,7 +221,7 @@ func TestVersionFlags(t *testing.T) {
 // fraction, per-request CPU should put cluster capacity near Table 1.
 func TestCostModelCalibrationIdentity(t *testing.T) {
 	for _, v := range Versions {
-		c := Costs(v)
+		c := v.Spec().Costs
 		read := c.CacheRead
 		if v.ZeroCopy() {
 			read = c.CacheReadZeroCopy

@@ -3,17 +3,20 @@ package press
 import (
 	"time"
 
-	"vivo/internal/cluster"
 	"vivo/internal/substrate"
 )
 
-// Config describes one PRESS deployment: the version under study plus the
-// hardware, substrate and server parameters. DefaultConfig reproduces the
-// paper's testbed.
+// Config describes one PRESS deployment: the version under study and the
+// few values a study changes. Everything else about the paper's testbed
+// (the fabric, disks, pinning limit, heartbeat period, restart and join
+// timers) is a constant next to the code that reads it, and the cost
+// model comes from the version's spec. DefaultConfig reproduces the
+// paper's setup.
 type Config struct {
 	Version Version
 
 	// Nodes is the cluster size (max 8; the directory uses a bitmask).
+	// The simulated fabric has exactly this many nodes.
 	Nodes int
 
 	// CacheBytes is the per-node file-cache budget (128 MiB in the
@@ -25,47 +28,18 @@ type Config struct {
 	// WarmStart to prepopulate caches and directories.
 	WorkingSetFiles int
 
-	// PinLimit is the per-node pinnable-memory budget handed to the OS
-	// model. It must fit the file cache (for VIA-PRESS-5) plus VI
-	// buffers.
-	PinLimit int64
-
-	// Costs is the CPU cost model; zero value means Costs(Version).
-	Costs CostModel
-
-	// Heartbeat protocol (TCP-PRESS-HB): period between heartbeats and
-	// the silence threshold that declares the predecessor dead (the
-	// paper uses 3 missed heartbeats at 5 s = 15 s).
-	HBPeriod  time.Duration
+	// HBTimeout is the silence threshold after which the heartbeat
+	// protocol (TCP-PRESS-HB) declares the predecessor dead: the paper
+	// uses 3 missed heartbeats at 5 s = 15 s.
 	HBTimeout time.Duration
-
-	// JoinTimeout bounds the (one-shot) rejoin protocol: a restarted
-	// node that gets no acceptance gives up and runs standalone.
-	JoinTimeout time.Duration
-
-	// RestartDelay is how long the per-node daemon waits before
-	// restarting a dead PRESS process.
-	RestartDelay time.Duration
-
-	// Disk subsystem: spindles per node and per-read service time.
-	DiskSpindles int
-	DiskService  time.Duration
-
-	// AcceptBacklog bounds the per-node queue of accepted-but-unparsed
-	// client requests; beyond it SYNs go unanswered.
-	AcceptBacklog int
 
 	// Remerge enables the rigorous-membership ablation (§6.2): nodes
 	// periodically try to reunify a splintered cluster instead of
 	// waiting for an operator.
-	Remerge         bool
-	RemergeInterval time.Duration
-
-	// Hardware configures the simulated cluster fabric.
-	Hardware cluster.Config
+	Remerge bool
 
 	// Substrate is the communication layer carrying intra-cluster
-	// traffic; nil means the version's default (Version.Spec().Substrate).
+	// traffic (DefaultConfig: Version.Spec().Substrate).
 	Substrate substrate.Spec
 }
 
@@ -78,18 +52,8 @@ func DefaultConfig(v Version) Config {
 		CacheBytes:      128 << 20,
 		FileSize:        8 << 10,
 		WorkingSetFiles: 72 * 1024,
-		PinLimit:        160 << 20,
-		Costs:           spec.Costs,
-		HBPeriod:        5 * time.Second,
 		HBTimeout:       15 * time.Second,
-		JoinTimeout:     10 * time.Second,
-		RestartDelay:    3 * time.Second,
-		DiskSpindles:    2,
-		DiskService:     6 * time.Millisecond,
-		AcceptBacklog:   512,
-		RemergeInterval: 10 * time.Second,
 		Remerge:         spec.Remerge,
-		Hardware:        cluster.DefaultConfig(),
 		Substrate:       spec.Substrate,
 	}
 }

@@ -36,10 +36,6 @@ type CostModel struct {
 	CacheInsert time.Duration
 }
 
-// Costs returns the calibrated cost model for a version (from its
-// registered spec).
-func Costs(v Version) CostModel { return v.Spec().Costs }
-
 // baseCosts holds the version-independent operations.
 func baseCosts() CostModel {
 	return CostModel{

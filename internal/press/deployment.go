@@ -2,6 +2,7 @@ package press
 
 import (
 	"fmt"
+	"time"
 
 	"vivo/internal/cluster"
 	"vivo/internal/metrics"
@@ -39,30 +40,39 @@ type Deployment struct {
 	wires []*wire // free list of message payload records (task.go)
 }
 
-// NewDeployment builds the hardware and substrate for cfg. No server
+// The testbed's per-node resources.
+const (
+	// pinLimit is the per-node pinnable-memory budget handed to the OS
+	// model. It must fit the file cache (for VIA-PRESS-5) plus VI
+	// buffers.
+	pinLimit = 160 << 20
+
+	// Disk subsystem: spindles per node and per-read service time.
+	diskSpindles = 2
+	diskService  = 6 * time.Millisecond
+)
+
+// NewDeployment builds the hardware and substrate for cfg: the paper's
+// fabric (cluster.DefaultConfig) with cfg.Nodes nodes. No server
 // processes run until Start.
 func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 	if cfg.Nodes < 1 || cfg.Nodes > 8 {
 		panic("press: 1..8 nodes supported (directory bitmask)")
 	}
-	if cfg.Costs == (CostModel{}) {
-		cfg.Costs = Costs(cfg.Version)
-	}
-	if cfg.Substrate == nil {
-		cfg.Substrate = cfg.Version.Spec().Substrate
-	}
+	hw := cluster.DefaultConfig()
+	hw.Nodes = cfg.Nodes
 	d := &Deployment{
 		K:             k,
 		Cfg:           cfg,
-		HW:            cluster.New(k, cfg.Hardware),
+		HW:            cluster.New(k, hw),
 		servers:       make([]*Server, cfg.Nodes),
 		DaemonEnabled: true,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		node := d.HW.Node(i)
-		os := osmodel.New(k, node, cfg.PinLimit)
+		os := osmodel.New(k, node, pinLimit)
 		d.OS = append(d.OS, os)
-		d.Disks = append(d.Disks, NewDisk(k, cfg.DiskSpindles, cfg.DiskService))
+		d.Disks = append(d.Disks, NewDisk(k, diskSpindles, diskService))
 		d.transports = append(d.transports, cfg.Substrate.NewTransport(substrate.NodeEnv{
 			K: k, HW: d.HW, Node: node, OS: os,
 		}))
@@ -75,8 +85,12 @@ func (d *Deployment) transportFor(id int) substrate.Transport {
 	return d.transports[id]
 }
 
+// restartDelay is how long the per-node daemon waits before restarting a
+// dead PRESS process.
+const restartDelay = 3 * time.Second
+
 // installDaemon sets up the per-node restart daemon: it respawns the PRESS
-// process RestartDelay after an application crash (host still up) or after
+// process restartDelay after an application crash (host still up) or after
 // the node boots.
 func (d *Deployment) installDaemon(i int) {
 	node := d.HW.Node(i)
@@ -88,7 +102,7 @@ func (d *Deployment) installDaemon(i int) {
 }
 
 func (d *Deployment) scheduleRespawn(i int) {
-	d.K.After(d.Cfg.RestartDelay, func() {
+	d.K.After(restartDelay, func() {
 		if !d.DaemonEnabled || !d.HW.Node(i).Up {
 			return
 		}
@@ -196,6 +210,10 @@ func (d *Deployment) WarmStart() {
 	}
 }
 
+// acceptBacklog bounds the per-node queue of accepted-but-unparsed client
+// requests; beyond it SYNs go unanswered.
+const acceptBacklog = 512
+
 // Submit implements workload.Backend: the client-side connection attempt.
 // Client traffic does not traverse the simulated intra-cluster fabric (the
 // injector never disturbs it), so reachability depends only on host state.
@@ -208,7 +226,7 @@ func (d *Deployment) Submit(r *workload.Request) workload.SubmitResult {
 	if s == nil || !s.Alive() {
 		return workload.Refused
 	}
-	if node.CPU.QueueLen() > d.Cfg.AcceptBacklog {
+	if node.CPU.QueueLen() > acceptBacklog {
 		// Accept backlog overrun: SYNs dropped.
 		return workload.Unreachable
 	}

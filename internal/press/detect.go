@@ -2,6 +2,7 @@ package press
 
 import (
 	"fmt"
+	"time"
 
 	"vivo/internal/sim"
 	"vivo/internal/substrate"
@@ -43,9 +44,14 @@ func (noDetector) stop()             {}
 func (noDetector) noteHeartbeat(int) {}
 func (noDetector) resetGrace()       {}
 
+// hbPeriod is the interval between heartbeats (TCP-PRESS-HB; the paper's
+// 5 s).
+const hbPeriod = 5 * time.Second
+
 // ringHeartbeat implements the directed-ring heartbeat protocol: each
 // node heartbeats its ring successor and declares its predecessor dead
-// after HBTimeout of silence (the paper's 3 missed beats at 5 s = 15 s).
+// after Config.HBTimeout of silence (the paper's 3 missed beats at 5 s =
+// 15 s).
 //
 // In PRESS the heartbeat machinery runs independently of the main
 // coordinating loop — if it went through the (blockable) main loop, a
@@ -62,7 +68,7 @@ type ringHeartbeat struct {
 func (h *ringHeartbeat) start() {
 	s := h.s
 	h.resetGrace()
-	h.hbSend = sim.NewTicker(s.k(), s.cfg.HBPeriod, func() {
+	h.hbSend = sim.NewTicker(s.k(), hbPeriod, func() {
 		if !s.alive || s.proc.Stopped() || s.node.Frozen {
 			return
 		}
@@ -77,7 +83,7 @@ func (h *ringHeartbeat) start() {
 			_ = err
 		}
 	})
-	h.hbCheck = sim.NewTicker(s.k(), s.cfg.HBPeriod, func() {
+	h.hbCheck = sim.NewTicker(s.k(), hbPeriod, func() {
 		if !s.alive || s.proc.Stopped() || s.node.Frozen {
 			return
 		}

@@ -71,6 +71,18 @@
 // never builds. [Versions] lists the paper's five in Table-1 order;
 // [AllVersions] appends every registered extension.
 //
+// # Configuration
+//
+// A [Config] holds only what a study varies: the version, the node count
+// (1..8; [NewDeployment] builds the paper's fabric with exactly that many
+// nodes, so hardware and deployment cannot disagree), the cache and
+// working-set scale, the document size, and the three knobs the ablation
+// benchmarks sweep: the heartbeat timeout, re-merging membership and the
+// substrate. The cost model is the version's ([VersionSpec].Costs). The
+// testbed's fixed facts (pinnable-memory budget, disks, accept backlog,
+// heartbeat period, restart, join and re-merge timers) are unexported
+// constants next to the code that reads them.
+//
 // # Worked example
 //
 // A deployment is a [sim.Kernel], a [Config] for the chosen version, and

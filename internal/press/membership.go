@@ -3,6 +3,7 @@ package press
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"vivo/internal/comm"
 	"vivo/internal/substrate"
@@ -171,9 +172,13 @@ func (implicitRejoin) giveUp(s *Server) {
 	s.mark(fmt.Sprintf("join finalized with members %v", s.Members()))
 }
 
+// joinTimeout bounds the (one-shot) rejoin protocol: a restarted node
+// that gets no acceptance gives up and runs standalone.
+const joinTimeout = 10 * time.Second
+
 // startJoin runs the (one-shot) rejoin protocol for a freshly restarted
 // process: dial everyone and let the version's joinPolicy decide what an
-// answered dial means. If nothing concludes within JoinTimeout the node
+// answered dial means. If nothing concludes within joinTimeout the node
 // gives up per the policy.
 func (s *Server) startJoin() {
 	s.mark("rejoin started")
@@ -196,7 +201,7 @@ func (s *Server) startJoin() {
 			s.join.dialed(s, j, pc)
 		})
 	}
-	s.joinTimer = s.k().After(s.cfg.JoinTimeout, func() {
+	s.joinTimer = s.k().After(joinTimeout, func() {
 		if !s.alive || s.joined {
 			return
 		}

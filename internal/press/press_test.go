@@ -93,6 +93,27 @@ func oneShot(s *Server, mutate func(*comm.SendParams)) {
 	})
 }
 
+// The deployment sizes its fabric: Config.Nodes is the only node count,
+// so every size the directory bitmask allows gets exactly that many
+// fabric nodes, OS models and disks, and every node boots a server.
+func TestDeploymentFabricMatchesNodes(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		cfg := DefaultConfig(VIAPress5)
+		cfg.Nodes = n
+		d := NewDeployment(sim.New(1), cfg)
+		if got := len(d.HW.Nodes); got != n {
+			t.Fatalf("Nodes=%d: fabric has %d nodes", n, got)
+		}
+		if len(d.OS) != n || len(d.Disks) != n {
+			t.Fatalf("Nodes=%d: %d OS models, %d disks", n, len(d.OS), len(d.Disks))
+		}
+		d.Start()
+		if d.Server(n-1) == nil {
+			t.Fatalf("Nodes=%d: no server on the last node", n)
+		}
+	}
+}
+
 func TestBootstrapServesAtOfferedRate(t *testing.T) {
 	for _, v := range Versions {
 		v := v

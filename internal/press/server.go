@@ -130,6 +130,10 @@ type Server struct {
 	tasks []*task // free list of CPU/disk task records (task.go)
 }
 
+// remergeInterval is how often a Config.Remerge server tries to reunify
+// a splintered cluster.
+const remergeInterval = 10 * time.Second
+
 // newServer constructs and starts a PRESS process on node id. bootstrap
 // indicates coordinated cluster start (membership preset to all nodes);
 // otherwise the server runs the rejoin protocol.
@@ -145,7 +149,7 @@ func newServer(d *Deployment, id int, proc *osmodel.Process, bootstrap bool) *Se
 		tr:          d.transportFor(id),
 		cfg:         cfg,
 		spec:        spec,
-		cost:        cfg.Costs,
+		cost:        spec.Costs,
 		alive:       true,
 		members:     map[int]bool{id: true},
 		conns:       make(map[int]substrate.PeerConn),
@@ -193,7 +197,7 @@ func newServer(d *Deployment, id int, proc *osmodel.Process, bootstrap bool) *Se
 	s.sweep = sim.NewTicker(d.K, 5*time.Second, s.sweepPending)
 	s.sweep.Start()
 	if cfg.Remerge {
-		s.remerge = sim.NewTicker(d.K, cfg.RemergeInterval, s.remergeTick)
+		s.remerge = sim.NewTicker(d.K, remergeInterval, s.remergeTick)
 		s.remerge.Start()
 	}
 	return s
@@ -303,7 +307,7 @@ func (s *Server) Inflight() int { return s.inflight }
 
 // Joined reports whether this incarnation completed its (re)join
 // protocol — bootstrap servers are born joined; restarted ones join (or
-// give up and run standalone) within JoinTimeout.
+// give up and run standalone) within joinTimeout.
 func (s *Server) Joined() bool { return s.joined }
 
 // PendingForwards returns the number of client requests this node has

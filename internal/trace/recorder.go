@@ -1,11 +1,9 @@
 package trace
 
-import "time"
-
 // Recorder is an in-memory sink: it appends every event to a slice, in
 // emission order, for queries from tests and metrics post-processing.
 // Unlike the JSON writer it keeps the typed Event values, so callers can
-// filter and count without parsing anything back.
+// count and search without parsing anything back.
 type Recorder struct {
 	events []Event
 }
@@ -25,23 +23,6 @@ func (r *Recorder) Len() int { return len(r.events) }
 
 // Reset discards all recorded events, keeping the capacity.
 func (r *Recorder) Reset() { r.events = r.events[:0] }
-
-// Filter returns the events matching all non-wildcard criteria: name ""
-// matches every event name, node NoNode matches every node. Results share
-// no storage with the recorder.
-func (r *Recorder) Filter(name string, node int) []Event {
-	var out []Event
-	for _, e := range r.events {
-		if name != "" && e.Name != name {
-			continue
-		}
-		if node != NoNode && e.Node != node {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
 
 // Count returns how many events carry the given name.
 func (r *Recorder) Count(name string) int {
@@ -64,15 +45,4 @@ func (r *Recorder) First(name string) (Event, bool) {
 		}
 	}
 	return Event{}, false
-}
-
-// Between returns the events with from <= TS < to, preserving order.
-func (r *Recorder) Between(from, to time.Duration) []Event {
-	var out []Event
-	for _, e := range r.events {
-		if e.TS >= from && e.TS < to {
-			out = append(out, e)
-		}
-	}
-	return out
 }
