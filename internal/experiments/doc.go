@@ -36,7 +36,9 @@
 // Determinism makes the whole stack pinnable: TestGoldenSeed1 compares
 // Table 1 plus the complete quick-scale campaign for seed 1 byte-for-byte
 // against testdata/golden_seed1.txt (run via `make golden`; regenerate
-// intentional behaviour changes with -update).
+// intentional behaviour changes with -update), and every
+// [CampaignSections] rendering of that campaign against the checked-in
+// results/quick_campaign.txt.
 //
 // # Running one fault experiment
 //

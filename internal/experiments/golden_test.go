@@ -25,6 +25,11 @@ var updateGolden = flag.Bool("update", false,
 //
 // and justify the diff in review.
 //
+// The same campaign also renders every CampaignSections entry (Table 2,
+// Figures 6-10, the crossover matrix, the sweep), which costs
+// milliseconds, and compares each with its section of the checked-in
+// results/quick_campaign.txt, so the archive cannot drift from the code.
+//
 // The full matrix takes one to five minutes of wall time on a 2-core box,
 // depending on what else the box runs, and far more on a race-instrumented
 // build, so the test sizes itself against the binary's deadline and skips
@@ -54,7 +59,9 @@ func TestGoldenSeed1(t *testing.T) {
 		t.Skipf("campaign projected at ~%v from Table 1, %v left; run via make golden",
 			project.Round(time.Second), time.Until(dl).Round(time.Second))
 	}
-	got := table1 + "\n" + RenderTable2(RunCampaign(opt))
+	c := RunCampaign(opt)
+	checkArchive(t, c)
+	got := table1 + "\n" + RenderTable2(c)
 
 	path := filepath.Join("testdata", "golden_seed1.txt")
 	if *updateGolden {
@@ -70,12 +77,17 @@ func TestGoldenSeed1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
-	if got == string(want) {
-		return
+	if line, g, w, differ := firstDiff(got, string(want)); differ {
+		t.Fatalf("behaviour diverged from golden output at line %d:\n  got:  %q\n  want: %q\n(rerun with -update only if the change is intentional)", line, g, w)
 	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+}
+
+// firstDiff returns the first line (1-based) at which got and want
+// differ, and that line of each.
+func firstDiff(got, want string) (line int, g, w string, differ bool) {
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
+		g, w = "", ""
 		if i < len(gotLines) {
 			g = gotLines[i]
 		}
@@ -83,8 +95,51 @@ func TestGoldenSeed1(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("behaviour diverged from golden output at line %d:\n  got:  %q\n  want: %q\n(rerun with -update only if the change is intentional)", i+1, g, w)
+			return i + 1, g, w, true
 		}
 	}
-	t.Fatal("golden mismatch (line endings?)")
+	return 0, "", "", false
+}
+
+// archivePath is the quick-scale results archive, regenerated with
+// archiveCmd from the repository root.
+const (
+	archivePath = "../../results/quick_campaign.txt"
+	archiveCmd  = "go run ./cmd/pressbench -only table2,fig6,fig7,fig8,fig9,fig10,crossover,sweep,extension > results/quick_campaign.txt"
+)
+
+// checkArchive compares each campaign section rendered from c with the
+// same section of the archive, byte for byte.
+func checkArchive(t *testing.T, c *Campaign) {
+	t.Helper()
+	text, err := os.ReadFile(archivePath)
+	if err != nil {
+		t.Fatalf("read results archive: %v", err)
+	}
+	archived := sections(string(text))
+	for _, cs := range CampaignSections {
+		want, ok := archived[cs.Title]
+		if !ok {
+			t.Errorf("%s has no %q section; regenerate it with\n\t%s", archivePath, cs.Title, archiveCmd)
+			continue
+		}
+		if line, g, w, differ := firstDiff(cs.Render(c), want); differ {
+			t.Errorf("%s section %q differs from the code's rendering at its line %d:\n  got:  %q\n  want: %q\nregenerate it with\n\t%s",
+				archivePath, cs.Title, line, g, w, archiveCmd)
+		}
+	}
+}
+
+// sections splits pressbench output into section bodies keyed by title.
+// pressbench opens each section with "\n===== <title> =====\n", so a body
+// runs to the blank line that opens the next one.
+func sections(out string) map[string]string {
+	m := map[string]string{}
+	for _, chunk := range strings.Split(out, "\n===== ")[1:] {
+		title, body, ok := strings.Cut(chunk, " =====\n")
+		if ok {
+			m[title] = body
+		}
+	}
+	return m
 }
