@@ -123,7 +123,7 @@ func main() {
 		fmt.Print(experiments.RenderSLOTable(experiments.SLOTable(sloOpt)))
 	}
 
-	needCampaign := sel("scaling")
+	needCampaign := sel("scaling") || sel("extension") // both reuse the campaign
 	for _, cs := range experiments.CampaignSections {
 		needCampaign = needCampaign || sel(cs.Name)
 	}
