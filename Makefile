@@ -177,13 +177,15 @@ soak-smoke:
 	grep -qF '0/2 cycles violated an invariant' $(CHAOS_SMOKE_DIR)/a.txt
 	rm -rf $(CHAOS_SMOKE_DIR)
 
-# Fuzz smoke: ten seconds of native Go fuzzing on the fault-spec JSON
-# decoder behind chaos repro artifacts. Every input must either fail with
-# an error or decode to a spec that round-trips unchanged. Inputs that
-# fail are written under internal/faults/testdata/fuzz and replay as
-# ordinary test cases from then on.
+# Fuzz smoke: ten seconds of native Go fuzzing on each of the two JSON
+# readers — the fault-spec decoder behind chaos repro artifacts, and the
+# trace-file reader behind tracecheck and tracediff. Every input must
+# either fail with an error or decode to a value that round-trips
+# unchanged. Inputs that fail are written under the package's
+# testdata/fuzz and replay as ordinary test cases from then on.
 fuzz-smoke:
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s -parallel 2
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseJSON$$' -fuzztime 10s -parallel 2
 
 # The benchmark (bench/, a Go module of its own that the root module's
 # build and tests do not see): its package tests, so it keeps building

@@ -131,9 +131,9 @@ func TestRunLayersGoThroughObservationPipeline(t *testing.T) {
 }
 
 // Non-test sources of the run layers must not assemble instrumentation
-// by hand: recorder and tracer construction belongs to obs.Harness and
-// its probes, so every run is observed the same way. Nor may they keep a
-// copy of a run's event stream: oracles fold events as they arrive.
+// by hand: recorder and tracer construction belongs to obs.Harness, so
+// every run is observed the same way. Nor may they keep a copy of a
+// run's event stream: oracles fold events as they arrive.
 // (Test files may still construct recorders to probe components in
 // isolation.)
 func TestRunLayersDoNotAssembleInstrumentation(t *testing.T) {
@@ -146,7 +146,7 @@ func TestRunLayersDoNotAssembleInstrumentation(t *testing.T) {
 			}
 			for _, call := range banned {
 				if strings.Contains(string(src), call) {
-					t.Errorf("%s calls %s directly; attach an obs probe instead",
+					t.Errorf("%s calls %s directly; set obs.Harness.Latency or pass a trace sink to Harness.Run instead",
 						path, call)
 				}
 			}
@@ -187,17 +187,16 @@ func TestChaosHasOneSearchLoop(t *testing.T) {
 	}
 }
 
-// A deployment's node count is Config.Nodes, and press.NewDeployment
-// alone turns it into a fabric. Any other non-test cluster.New call
-// could build hardware that disagrees with the deployment it serves.
-func TestOnlyTheDeploymentBuildsTheFabric(t *testing.T) {
-	const call = "cluster.New("
+// moduleSources calls fn with every non-test Go source of the main
+// module (go list ./...): its package's import path, its file name and
+// its text.
+func moduleSources(t *testing.T, fn func(pkg, file, src string)) {
+	t.Helper()
 	out, err := exec.Command("go", "list", "-json", "./...").Output()
 	if err != nil {
 		t.Fatalf("go list ./...: %v", err)
 	}
 	dec := json.NewDecoder(strings.NewReader(string(out)))
-	sites := 0
 	for dec.More() {
 		var info struct {
 			ImportPath string
@@ -212,14 +211,55 @@ func TestOnlyTheDeploymentBuildsTheFabric(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read %s: %v", f, err)
 			}
-			n := strings.Count(string(src), call)
-			if n > 0 && info.ImportPath != pkgPress {
-				t.Errorf("%s/%s calls %s; build a press.Deployment instead", info.ImportPath, f, call)
-			}
-			sites += n
+			fn(info.ImportPath, f, string(src))
 		}
 	}
+}
+
+// A deployment's node count is Config.Nodes, and press.NewDeployment
+// alone turns it into a fabric. Any other non-test cluster.New call
+// could build hardware that disagrees with the deployment it serves.
+func TestOnlyTheDeploymentBuildsTheFabric(t *testing.T) {
+	const call = "cluster.New("
+	sites := 0
+	moduleSources(t, func(pkg, file, src string) {
+		n := strings.Count(src, call)
+		if n > 0 && pkg != pkgPress {
+			t.Errorf("%s/%s calls %s; build a press.Deployment instead", pkg, file, call)
+		}
+		sites += n
+	})
 	if sites == 0 {
 		t.Errorf("no non-test %s call left — the fabric seam has moved; update this test's model of the architecture", call)
+	}
+}
+
+// A run is observed one way: obs.Harness sets the kernel's tracer from
+// the sinks passed to Run and turns on latency tracking from
+// Harness.Latency. A SetTracer or TrackLatency call anywhere else in the
+// module's non-test code would be a second way to instrument a run.
+// Comments and the methods' own definitions do not count.
+func TestOnlyTheHarnessInstrumentsARun(t *testing.T) {
+	calls := []string{".SetTracer(", ".TrackLatency("}
+	sites := 0
+	moduleSources(t, func(pkg, file, src string) {
+		for _, line := range strings.Split(src, "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if strings.HasPrefix(strings.TrimSpace(code), "func ") {
+				continue
+			}
+			for _, call := range calls {
+				if !strings.Contains(code, call) {
+					continue
+				}
+				if pkg != pkgObs {
+					t.Errorf("%s/%s calls %s; set obs.Harness.Latency or pass a trace sink to Harness.Run instead", pkg, file, call)
+				}
+				sites++
+			}
+		}
+	})
+	if sites == 0 {
+		t.Errorf("no non-test %v call left in %s — the observation seam has moved; update this test's model of the architecture", calls, pkgObs)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"vivo/internal/cli"
 	"vivo/internal/obs"
 	"vivo/internal/press"
+	"vivo/internal/trace"
 	"vivo/internal/workload"
 )
 
@@ -61,20 +62,16 @@ func main() {
 		Rate:    *rate,
 		Sampler: sampler,
 		LoadFor: *duration,
+		Latency: *lat || *slo > 0,
 	}
+	var sink trace.Sink // untyped nil: no trace file
 	finishTrace := func() {}
 	if *tracePath != "" {
-		fs, finish := cli.MustTraceFile(*tracePath)
-		h.Sink = fs
-		finishTrace = finish
-	}
-	var probes []obs.Probe
-	if *lat || *slo > 0 {
-		probes = append(probes, obs.Latency{})
+		sink, finishTrace = cli.MustTraceFile(*tracePath)
 	}
 
 	start := time.Now()
-	run, err := h.Run(probes...)
+	run, err := h.Run(sink)
 	if err != nil {
 		log.Fatalf("%v", err)
 	}

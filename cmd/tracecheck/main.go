@@ -1,7 +1,8 @@
 // Command tracecheck validates trace files produced with -trace: it
-// parses each file as a Chrome trace_event document and reports the
-// event count and time span, exiting non-zero on malformed input. CI's
-// trace-smoke target runs it over a freshly captured fault trace.
+// parses each file as a Chrome trace_event document, checks its
+// structure (trace.Check) and reports the event count and time span,
+// exiting non-zero on malformed input. CI's trace-smoke target runs it
+// over a freshly captured fault trace.
 //
 // Usage:
 //
@@ -9,72 +10,38 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
+
+	"vivo/internal/trace"
 )
-
-type doc struct {
-	DisplayTimeUnit string  `json:"displayTimeUnit"`
-	TraceEvents     []event `json:"traceEvents"`
-}
-
-type event struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	ID   string  `json:"id"`
-	TS   float64 `json:"ts"`
-	PID  *int    `json:"pid"`
-	TID  *int    `json:"tid"`
-}
 
 func main() {
 	if len(os.Args) < 2 {
 		log.Fatal("usage: tracecheck file.trace.json [...]")
 	}
 	for _, path := range os.Args[1:] {
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			log.Fatalf("%s: %v", path, err)
 		}
-		var d doc
-		if err := json.Unmarshal(data, &d); err != nil {
-			log.Fatalf("%s: invalid trace JSON: %v", path, err)
+		evs, err := trace.ParseJSON(f)
+		f.Close()
+		if err == nil {
+			err = trace.Check(evs)
 		}
-		if len(d.TraceEvents) == 0 {
-			log.Fatalf("%s: no trace events", path)
+		if err != nil {
+			log.Fatalf("%s: %v", path, err)
 		}
-		var instants int
+		var n int
 		var last float64
-		for i, e := range d.TraceEvents {
-			switch e.Ph {
-			case "i", "M", "C":
-			case "b", "e":
-				// Async span events must carry the correlation id.
-				if e.ID == "" {
-					log.Fatalf("%s: event %d (%s) is an async %q without an id", path, i, e.Name, e.Ph)
-				}
-			default:
-				log.Fatalf("%s: event %d has unexpected phase %q", path, i, e.Ph)
-			}
-			if e.PID == nil || e.TID == nil {
-				log.Fatalf("%s: event %d (%s) lacks pid/tid", path, i, e.Name)
-			}
-			if e.Ph != "M" {
-				// The simulation emits in virtual-time order; a trace
-				// that violates it is corrupt.
-				if e.TS < last {
-					log.Fatalf("%s: event %d (%s) goes back in time (%.3f < %.3f)",
-						path, i, e.Name, e.TS, last)
-				}
+		for _, e := range evs {
+			if !e.Meta() {
+				n++
 				last = e.TS
-				instants++
 			}
 		}
-		if instants == 0 {
-			log.Fatalf("%s: metadata only, no instant events", path)
-		}
-		fmt.Printf("%s: ok — %d events spanning %.3f ms\n", path, instants, last/1000)
+		fmt.Printf("%s: ok — %d events spanning %.3f ms\n", path, n, last/1000)
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"vivo/internal/faults"
-	"vivo/internal/obs"
 	"vivo/internal/trace"
 )
 
 // EventFold is the chaos oracles' view of a run's event stream: one
-// trace sink, teed in at Attach, that folds each event as it arrives into
+// trace sink, passed to obs.Harness.Run, that folds each event as it arrives into
 // the state every event-reading oracle and the coverage signature need.
 // The state is O(nodes²) however long the run is, and a soak reads it
 // live at each checkpoint. The zero value is ready to use.
@@ -29,12 +28,6 @@ type faultKey struct {
 	node int
 	name string
 }
-
-// Attach implements obs.Probe.
-func (f *EventFold) Attach(rt *obs.Runtime) { rt.Tee(f) }
-
-// Finalize implements obs.Probe.
-func (f *EventFold) Finalize(*obs.Run) {}
 
 // Record implements trace.Sink. Only fault and membership events build
 // strings; every other event updates the fold without allocating.

@@ -4,14 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"vivo/internal/obs"
 	"vivo/internal/trace"
 )
 
-var (
-	_ trace.Sink = (*EventFold)(nil)
-	_ obs.Probe  = (*EventFold)(nil)
-)
+var _ trace.Sink = (*EventFold)(nil)
 
 // Once warm, the fold keeps up with the hot event kinds — sends,
 // receives, admissions and request spans — without allocating, even

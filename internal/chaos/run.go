@@ -217,10 +217,9 @@ func runOne(v press.Version, p Params, seed int64, sched Schedule, extra trace.S
 		Faults:  sched.Faults,
 		LoadFor: horizon,
 		Drain:   drain,
-		Sink:    extra,
 	}
 	events := &EventFold{}
-	run, err := h.Run(events)
+	run, err := h.Run(events, extra)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: bad schedule: %v", err)
 	}

@@ -152,7 +152,6 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 		Faults:      specs,
 		LoadFor:     total,
 		Drain:       drain,
-		Sink:        sink,
 		Checkpoints: checkpoints,
 		OnCheckpoint: func(i int, run *obs.Run) {
 			end := checkpoints[i]
@@ -196,7 +195,7 @@ func RunSoak(opt SoakOptions, sink trace.Sink) (*SoakReport, error) {
 			})
 		},
 	}
-	run, err := h.Run(events)
+	run, err := h.Run(events, sink)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: bad soak schedule: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // the service work itself slowing down).
 
 // NamedHop pairs a hop label with the recorder holding its samples —
-// the bridge between the observation pipeline's hop probe and the
+// the bridge between the observation pipeline's hop sink and the
 // extraction layer, which does not know how hops are measured.
 type NamedHop struct {
 	Name string

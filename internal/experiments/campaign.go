@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -51,10 +52,11 @@ var (
 	campaignCache = map[Options]*campaignEntry{}
 )
 
-// RunCampaign measures (or returns the memoized) campaign for the
-// options. The cache key ignores Options.Parallel: the worker count never
-// changes results, only wall-clock time, so a campaign computed at one
-// setting is returned verbatim for any other.
+// RunCampaign measures (or returns the memoized) campaign over
+// press.Versions for the options. The cache key ignores
+// Options.Parallel: the worker count never changes results, only
+// wall-clock time, so a campaign computed at one setting is returned
+// verbatim for any other.
 func RunCampaign(opt Options) *Campaign {
 	key := opt.memoKey()
 	campaignMu.Lock()
@@ -64,18 +66,18 @@ func RunCampaign(opt Options) *Campaign {
 		campaignCache[key] = e
 	}
 	campaignMu.Unlock()
-	e.once.Do(func() { e.c = runCampaign(opt) })
+	e.once.Do(func() { e.c = measure(opt, press.Versions...) })
 	return e.c
 }
 
-// runCampaign executes the full phase-1 matrix — one Tn measurement plus
-// len(faults.AllTypes) fault injections per version — fanned out across
-// opt.workers() goroutines. Each cell simulates on a private sim.Kernel
-// seeded only by (opt.Seed, version, fault), and every result lands in a
-// slot indexed by (version, fault) before the maps are assembled, so the
-// returned campaign is bit-identical at any worker count.
-func runCampaign(opt Options) *Campaign {
-	versions := press.Versions
+// measure executes the phase-1 matrix for the given versions — one Tn
+// measurement plus len(faults.AllTypes) fault injections per version —
+// fanned out across opt.workers() goroutines. Each cell simulates on a
+// private sim.Kernel seeded only by (opt.Seed, version, fault), and every
+// result lands in a slot indexed by (version, fault) before the maps are
+// assembled, so the returned campaign is bit-identical at any worker
+// count.
+func measure(opt Options, versions ...press.Version) *Campaign {
 	nf := len(faults.AllTypes)
 	perVersion := 1 + nf // slot 0: Tn; slots 1..nf: fault runs
 	tns := make([]float64, len(versions))
@@ -105,6 +107,16 @@ func runCampaign(opt Options) *Campaign {
 	return c
 }
 
+// with returns a campaign holding the versions of both c and ext. It
+// copies the maps, so c — typically the memoized campaign — is never
+// mutated.
+func (c *Campaign) with(ext *Campaign) *Campaign {
+	out := &Campaign{Opt: c.Opt, Tn: maps.Clone(c.Tn), Meas: maps.Clone(c.Meas)}
+	maps.Copy(out.Tn, ext.Tn)
+	maps.Copy(out.Meas, ext.Meas)
+	return out
+}
+
 func measureTn(v press.Version, opt Options) float64 {
 	if !opt.MeasureTn {
 		return press.Table1Throughput(v)
@@ -115,41 +127,26 @@ func measureTn(v press.Version, opt Options) float64 {
 }
 
 // Model assembles the phase-2 model for one version under the given fault
-// load. Stage throughputs measured at the fault-run load are rescaled to
-// the version's capacity (the fractions, not the absolute levels, are what
-// phase 1 measures).
+// load, each class's stages through stageFor.
 func (c *Campaign) Model(v press.Version, load core.FaultLoad) core.Model {
-	tn := c.Tn[v]
 	behavior := make(map[core.FaultClass]core.StageParams, len(c.Meas[v]))
-	for class, meas := range c.Meas[v] {
-		rates, ok := load[class]
-		if !ok {
-			continue
+	for class := range c.Meas[v] {
+		if rates, ok := load[class]; ok {
+			behavior[class] = c.stageFor(v, class, rates)
 		}
-		sp := meas.StageParams(rates, c.Opt.Env)
-		if meas.Tn > 0 {
-			scale := tn / meas.Tn
-			for s := core.StageA; s < core.NumStages; s++ {
-				sp.T[s] *= scale
-				if sp.T[s] > tn {
-					sp.T[s] = tn
-				}
-			}
-		}
-		behavior[class] = sp
 	}
 	return core.Model{
-		Tn:       tn,
+		Tn:       c.Tn[v],
 		Nodes:    4,
 		Behavior: behavior,
 		Load:     load,
 	}
 }
 
-// stageFor returns the (capacity-rescaled) stage parameters this version
-// exhibited for the given class under the given rates — used to model the
-// sensitivity scenarios' extra faults ("packet drops behave like process
-// crashes", "system bugs behave like switch crashes").
+// stageFor returns the stage parameters this version exhibited for the
+// given class under the given rates. Stage throughputs measured at the
+// fault-run load are rescaled to the version's capacity (the fractions,
+// not the absolute levels, are what phase 1 measures).
 func (c *Campaign) stageFor(v press.Version, class core.FaultClass, rates core.Rates) core.StageParams {
 	meas := c.Meas[v][class]
 	sp := meas.StageParams(rates, c.Opt.Env)
@@ -164,4 +161,20 @@ func (c *Campaign) stageFor(v press.Version, class core.FaultClass, rates core.R
 		}
 	}
 	return sp
+}
+
+// packetDrop is the extra fault of transient packet drops on a VIA
+// version at the given MTTF: each drop resets the channel, behaving like
+// a process crash (3-minute repair) on each of the four nodes.
+func (c *Campaign) packetDrop(v press.Version, mttf time.Duration) core.ExtraFault {
+	rates := core.Rates{MTTF: mttf, MTTR: 3 * time.Minute}
+	return core.ExtraFault{Name: "packet-drop", Rates: rates, Stages: c.stageFor(v, core.ProcCrash, rates), Count: 4}
+}
+
+// systemCrash is the extra fault of a system crash from immature VIA
+// hardware or firmware at the given MTTF, behaving like a switch crash
+// (1-hour repair).
+func (c *Campaign) systemCrash(v press.Version, mttf time.Duration) core.ExtraFault {
+	rates := core.Rates{MTTF: mttf, MTTR: time.Hour}
+	return core.ExtraFault{Name: "system-crash", Rates: rates, Stages: c.stageFor(v, core.SwitchDown, rates), Count: 1}
 }

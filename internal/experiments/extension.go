@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"vivo/internal/core"
-	"vivo/internal/faults"
 	"vivo/internal/press"
 )
 
@@ -44,49 +42,13 @@ type ExtensionResult struct {
 // transient drops exactly like TCP (that is the "match the fabric's fault
 // model" recommendation).
 func RunExtension(opt Options) ExtensionResult {
-	c := RunCampaign(opt)
-
-	// Phase 1 for the extension version: the Tn measurement and the 11
-	// fault runs fan out exactly like a campaign slice.
-	var robustTn float64
-	nf := len(faults.AllTypes)
-	meas := make([]core.Measured, nf)
-	ForEach(1+nf, opt.workers(), func(i int) {
-		if i == 0 {
-			robustTn = measureTn(press.RobustPress, opt)
-			return
-		}
-		meas[i-1] = RunFault(press.RobustPress, faults.AllTypes[i-1], opt).Measured
-	})
-	robustMeas := make(map[core.FaultClass]core.Measured, nf)
-	for fi, ft := range faults.AllTypes {
-		robustMeas[faultClassOf[ft]] = meas[fi]
-	}
-	ext := &Campaign{
-		Opt:  opt,
-		Tn:   map[press.Version]float64{press.RobustPress: robustTn},
-		Meas: map[press.Version]map[core.FaultClass]core.Measured{press.RobustPress: robustMeas},
-	}
-
-	model := func(v press.Version, load core.FaultLoad) core.Model {
-		if v == press.RobustPress {
-			return ext.Model(v, load)
-		}
-		return c.Model(v, load)
-	}
-	stage := func(v press.Version, class core.FaultClass, rates core.Rates) core.StageParams {
-		if v == press.RobustPress {
-			return ext.stageFor(v, class, rates)
-		}
-		return c.stageFor(v, class, rates)
-	}
-
+	c := RunCampaign(opt).with(measure(opt, press.RobustPress))
 	var res ExtensionResult
 
 	// Scenario 1: identical fault load, application faults once per day.
 	same := core.DefaultFaultLoad(core.Day)
 	for _, v := range press.AllVersions {
-		m := model(v, same)
+		m := c.Model(v, same)
 		r := m.Evaluate()
 		res.SameLoad = append(res.SameLoad, ExtensionRow{
 			Version: v, Tn: m.Tn, Availability: r.AA, Performability: m.Performability(),
@@ -96,29 +58,14 @@ func RunExtension(opt Options) ExtensionResult {
 	// Scenario 2: the Figure-10 pessimistic load for every user-level
 	// substrate.
 	for _, v := range press.AllVersions {
-		load := baseLoad()
-		m := model(v, load)
+		m := c.Model(v, baseLoad())
 		if v.UsesVIA() {
-			addRate := 1.0/core.Month.Hours() + 1.0/(2*core.Week).Hours()
-			appMTTF := time.Duration(float64(time.Hour) / addRate)
-			m = model(v, load.WithAppMTTF(appMTTF))
-			sysRates := core.Rates{MTTF: core.Month, MTTR: time.Hour}
-			m.Extra = append(m.Extra, core.ExtraFault{
-				Name:   "system-crash",
-				Rates:  sysRates,
-				Stages: stage(v, core.SwitchDown, sysRates),
-				Count:  1,
-			})
+			m = c.combinedModel(v)
+			m.Extra = append(m.Extra, c.systemCrash(v, core.Month))
 			if !v.Robust() {
 				// Transient packet drops reset plain VIA channels;
 				// the robust layer retransmits through them.
-				dropRates := core.Rates{MTTF: core.Month, MTTR: 3 * time.Minute}
-				m.Extra = append(m.Extra, core.ExtraFault{
-					Name:   "packet-drop",
-					Rates:  dropRates,
-					Stages: stage(v, core.ProcCrash, dropRates),
-					Count:  4,
-				})
+				m.Extra = append(m.Extra, c.packetDrop(v, core.Month))
 			}
 		}
 		r := m.Evaluate()

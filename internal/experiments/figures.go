@@ -198,13 +198,7 @@ func Figure7(c *Campaign) []ScenarioRow {
 		for _, v := range press.Versions {
 			m := c.Model(v, baseLoad())
 			if v.UsesVIA() {
-				rates := core.Rates{MTTF: mttf, MTTR: 3 * time.Minute}
-				m.Extra = append(m.Extra, core.ExtraFault{
-					Name:   "packet-drop",
-					Rates:  rates,
-					Stages: c.stageFor(v, core.ProcCrash, rates),
-					Count:  4,
-				})
+				m.Extra = append(m.Extra, c.packetDrop(v, mttf))
 			}
 			rows = append(rows, ScenarioRow{v, setting, m.Performability()})
 		}
@@ -240,13 +234,7 @@ func Figure9(c *Campaign) []ScenarioRow {
 		for _, v := range press.Versions {
 			m := c.Model(v, baseLoad())
 			if v.UsesVIA() {
-				rates := core.Rates{MTTF: mttf, MTTR: time.Hour}
-				m.Extra = append(m.Extra, core.ExtraFault{
-					Name:   "system-crash",
-					Rates:  rates,
-					Stages: c.stageFor(v, core.SwitchDown, rates),
-					Count:  1,
-				})
+				m.Extra = append(m.Extra, c.systemCrash(v, mttf))
 			}
 			rows = append(rows, ScenarioRow{v, setting, m.Performability()})
 		}
@@ -260,31 +248,23 @@ func Figure9(c *Campaign) []ScenarioRow {
 func Figure10(c *Campaign) []ScenarioRow {
 	var rows []ScenarioRow
 	for _, v := range press.Versions {
-		load := baseLoad()
-		m := c.Model(v, load)
+		m := c.Model(v, baseLoad())
 		if v.UsesVIA() {
-			// Added application rate: base 1/month plus 1/2 weeks.
-			addRate := 1.0/core.Month.Hours() + 1.0/(2*core.Week).Hours()
-			appMTTF := time.Duration(float64(time.Hour) / addRate)
-			m = c.Model(v, load.WithAppMTTF(appMTTF))
-			dropRates := core.Rates{MTTF: core.Month, MTTR: 3 * time.Minute}
-			m.Extra = append(m.Extra, core.ExtraFault{
-				Name:   "packet-drop",
-				Rates:  dropRates,
-				Stages: c.stageFor(v, core.ProcCrash, dropRates),
-				Count:  4,
-			})
-			sysRates := core.Rates{MTTF: core.Month, MTTR: time.Hour}
-			m.Extra = append(m.Extra, core.ExtraFault{
-				Name:   "system-crash",
-				Rates:  sysRates,
-				Stages: c.stageFor(v, core.SwitchDown, sysRates),
-				Count:  1,
-			})
+			m = c.combinedModel(v)
+			m.Extra = append(m.Extra, c.packetDrop(v, core.Month), c.systemCrash(v, core.Month))
 		}
 		rows = append(rows, ScenarioRow{v, "combined pessimistic", m.Performability()})
 	}
 	return rows
+}
+
+// combinedModel is Figure 10's model for a user-level version before its
+// extra faults: the base load with the application fault rate raised from
+// one per month by one per two weeks.
+func (c *Campaign) combinedModel(v press.Version) core.Model {
+	addRate := 1.0/core.Month.Hours() + 1.0/(2*core.Week).Hours()
+	appMTTF := time.Duration(float64(time.Hour) / addRate)
+	return c.Model(v, baseLoad().WithAppMTTF(appMTTF))
 }
 
 // RenderScenario formats scenario rows grouped by setting.

@@ -27,8 +27,10 @@ var updateGolden = flag.Bool("update", false,
 //
 // The same campaign also renders every CampaignSections entry (Table 2,
 // Figures 6-10, the crossover matrix, the sweep), which costs
-// milliseconds, and compares each with its section of the checked-in
-// results/quick_campaign.txt, so the archive cannot drift from the code.
+// milliseconds, and the ROBUST-PRESS extension, which adds that version's
+// 11 fault runs to the memoized campaign, and compares each with its
+// section of the checked-in results/quick_campaign.txt, so the archive
+// cannot drift from the code.
 //
 // The full matrix takes one to five minutes of wall time on a 2-core box,
 // depending on what else the box runs, and far more on a race-instrumented
@@ -51,16 +53,16 @@ func TestGoldenSeed1(t *testing.T) {
 	opt := Quick()
 	start := time.Now()
 	table1 := RenderTable1(Table1(opt))
-	// The campaign costs 15.9-17.4 Table-1 passes (three runs each,
-	// standalone on a shared 2-core VM): the two-tier event queue sped
-	// Table 1 up ~20% and the campaign's fault runs less. 19 leaves room
-	// for the package's tests that run after this one.
-	if project := 19 * time.Since(start); hasDeadline && time.Until(dl) < project {
+	// The campaign plus the extension's fault runs cost 16.8-19.2
+	// Table-1 passes (three runs, standalone on a shared 2-core VM; the
+	// campaign alone 13.5-15.4). 22 leaves room for the package's tests
+	// that run after this one.
+	if project := 22 * time.Since(start); hasDeadline && time.Until(dl) < project {
 		t.Skipf("campaign projected at ~%v from Table 1, %v left; run via make golden",
 			project.Round(time.Second), time.Until(dl).Round(time.Second))
 	}
 	c := RunCampaign(opt)
-	checkArchive(t, c)
+	checkArchive(t, c, RenderExtension(RunExtension(opt)))
 	got := table1 + "\n" + RenderTable2(c)
 
 	path := filepath.Join("testdata", "golden_seed1.txt")
@@ -108,36 +110,47 @@ const (
 	archiveCmd  = "go run ./cmd/pressbench -only table2,fig6,fig7,fig8,fig9,fig10,crossover,sweep,extension > results/quick_campaign.txt"
 )
 
-// checkArchive compares each campaign section rendered from c with the
-// same section of the archive, byte for byte.
-func checkArchive(t *testing.T, c *Campaign) {
+// extensionTitle is the archive section pressbench prints RenderExtension
+// under.
+const extensionTitle = "Extension: ROBUST-PRESS (the layer §7 proposes)"
+
+// checkArchive compares each campaign section rendered from c, and the
+// rendered extension, with the same section of the archive, byte for
+// byte.
+func checkArchive(t *testing.T, c *Campaign, extension string) {
 	t.Helper()
 	text, err := os.ReadFile(archivePath)
 	if err != nil {
 		t.Fatalf("read results archive: %v", err)
 	}
 	archived := sections(string(text))
-	for _, cs := range CampaignSections {
-		want, ok := archived[cs.Title]
+	check := func(title, got string) {
+		want, ok := archived[title]
 		if !ok {
-			t.Errorf("%s has no %q section; regenerate it with\n\t%s", archivePath, cs.Title, archiveCmd)
-			continue
+			t.Errorf("%s has no %q section; regenerate it with\n\t%s", archivePath, title, archiveCmd)
+			return
 		}
-		if line, g, w, differ := firstDiff(cs.Render(c), want); differ {
+		if line, g, w, differ := firstDiff(got, want); differ {
 			t.Errorf("%s section %q differs from the code's rendering at its line %d:\n  got:  %q\n  want: %q\nregenerate it with\n\t%s",
-				archivePath, cs.Title, line, g, w, archiveCmd)
+				archivePath, title, line, g, w, archiveCmd)
 		}
 	}
+	for _, cs := range CampaignSections {
+		check(cs.Title, cs.Render(c))
+	}
+	check(extensionTitle, extension)
 }
 
 // sections splits pressbench output into section bodies keyed by title.
 // pressbench opens each section with "\n===== <title> =====\n", so a body
-// runs to the blank line that opens the next one.
+// runs to the blank line that opens the next one; the last runs to the
+// blank line before the closing "total wall time" line.
 func sections(out string) map[string]string {
 	m := map[string]string{}
 	for _, chunk := range strings.Split(out, "\n===== ")[1:] {
 		title, body, ok := strings.Cut(chunk, " =====\n")
 		if ok {
+			body, _, _ = strings.Cut(body, "\ntotal wall time ")
 			m[title] = body
 		}
 	}

@@ -52,7 +52,7 @@ type MultiFaultResult struct {
 
 // lossRun runs one experiment (zero, one or two faults) and returns total
 // offered and served counts over the whole run — a bare obs.Harness
-// configuration with no probes: only the recorder's totals matter.
+// configuration with no sinks: only the recorder's totals matter.
 func lossRun(v press.Version, opt Options, schedule []faults.Spec) (served, failed int64) {
 	h := obs.Harness{
 		Seed:    opt.Seed*555 + int64(v),

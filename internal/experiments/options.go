@@ -59,9 +59,9 @@ type Options struct {
 	// extracted Measured, so campaign memoization keys on it.
 	SLO time.Duration
 
-	// Hops attaches the per-hop decomposition probe (implies latency
-	// recording — the hop correlation rides the per-request trace
-	// spans): FaultRun.Hops is filled with accept/forward/serve stage
+	// Hops feeds the run to the per-hop decomposition sink (implies
+	// latency recording — the hop correlation rides the per-request
+	// trace spans): FaultRun.Hops is filled with accept/forward/serve stage
 	// profiles. Results are bit-identical with the flag on or off, so
 	// memoization ignores it like Latency.
 	Hops bool

@@ -87,8 +87,8 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 	serial.Parallel = 1
 	parallel := tinyOptions(42)
 	parallel.Parallel = 4
-	cs := runCampaign(serial)
-	cp := runCampaign(parallel)
+	cs := measure(serial, press.Versions...)
+	cp := measure(parallel, press.Versions...)
 	if !reflect.DeepEqual(cs, cp) {
 		t.Fatal("1-worker and 4-worker campaigns differ")
 	}

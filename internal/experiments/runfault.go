@@ -78,7 +78,7 @@ func TracePath(dir string, v press.Version, ft faults.Type) string {
 //
 // The run itself is one obs.Harness configuration: the experiment layer
 // only decides the schedule (a single fault at TargetNode after the
-// stabilize period) and which probes ride along, then extracts stages
+// stabilize period) and which observers ride along, then extracts stages
 // from the finished run.
 func RunFaultTrace(v press.Version, ft faults.Type, opt Options, sink trace.Sink) FaultRun {
 	seed := opt.Seed*1000 + int64(v)*100 + int64(ft)
@@ -95,18 +95,15 @@ func RunFaultTrace(v press.Version, ft faults.Type, opt Options, sink trace.Sink
 			{Type: ft, Target: TargetNode, At: injectAt, Dur: opt.FaultDuration},
 		},
 		LoadFor: end,
-		Sink:    sink,
+		Latency: opt.Latency || opt.SLO > 0 || opt.Hops,
 	}
-	probes := []obs.Probe{&obs.Throughput{}}
-	if opt.Latency || opt.SLO > 0 || opt.Hops {
-		probes = append(probes, obs.Latency{})
-	}
+	sinks := []trace.Sink{sink}
 	var hops *obs.Hops
 	if opt.Hops {
-		hops = &obs.Hops{}
-		probes = append(probes, hops)
+		hops = obs.NewHops()
+		sinks = []trace.Sink{hops, sink}
 	}
-	run, err := h.Run(probes...)
+	run, err := h.Run(sinks...)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}

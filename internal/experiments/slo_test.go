@@ -91,7 +91,7 @@ func TestSLOCellDefaultsTarget(t *testing.T) {
 }
 
 // Options.SLO must not change the throughput-side extraction: the same
-// run with and without the SLO probe yields the same Measured stages.
+// run with and without the SLO extraction yields the same Measured stages.
 func TestSLOIsObservationOnly(t *testing.T) {
 	opt := sloQuick()
 	withSLO := RunFault(press.TCPPressHB, faults.NodeCrash, opt)

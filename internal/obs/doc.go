@@ -1,7 +1,7 @@
 // Package obs is the observation pipeline: the one place a simulated
 // PRESS run is assembled and instrumented. A Harness owns the whole run
 // protocol — kernel, tracer, deployment warm-up, steady client load,
-// fault injection, observation, drain — and Probes plug metrics onto it
+// fault injection, observation, drain — and trace sinks observe it
 // without touching the protocol.
 //
 // Before this package, every consumer (experiments.RunFaultTrace,
@@ -11,33 +11,27 @@
 // root) keeps it that way: only this package may construct a
 // metrics.Recorder or set a kernel tracer for a cluster run.
 //
-// # Probe SPI
+// # Observing a run
 //
-// A Probe has two hooks:
+// A run is observed in two ways, both switched on before the kernel
+// starts:
 //
-//   - Attach(rt) runs after the kernel and throughput recorder exist but
-//     before anything can emit an event. A probe wires itself in here:
-//     register a trace sink with rt.Tee, turn on latency tracking in
-//     rt.Rec, keep rt.K for timestamps.
-//   - Finalize(run) runs after the kernel stops, to fold the run's end
-//     state into the probe's typed result.
+//   - Harness.Latency turns on the end-to-end latency histograms in the
+//     run's recorder (read back from Run.Rec) and, with them, the
+//     per-request trace spans.
+//   - Harness.Run(sinks...) feeds the run's event stream to every non-nil
+//     trace.Sink, in argument order, as the events are emitted. Hops (the
+//     per-hop decomposition — accept-queue / forward / serve — correlated
+//     from the request spans into three latency-tracking recorders) is
+//     one such sink; chaos.EventFold, from outside, folds the stream for
+//     the chaos oracles; a trace.FileSink writes it to disk.
 //
-// The contract that makes probes composable is zero perturbation:
-// attaching a probe must not draw randomness, schedule events, or
-// otherwise change the simulation. Everything a probe sees — trace
-// events, recorder hooks — is emitted identically whether or not anyone
-// listens, so a run's results are bit-identical under any probe set
-// (TestHarnessProbesDoNotPerturb pins this).
+// Callers pass their folding sinks before a file sink, so both see the
+// same stream in the same order. No sink keeps a copy of the run.
 //
-// Concrete probes: Throughput (the per-second timeline and marks),
-// Latency (turns on the end-to-end latency histograms in the run's
-// recorder, read back from Run.Rec), Hops (per-hop decomposition —
-// accept-queue / forward / serve — correlated from the trace's request
-// spans into three more latency-tracking recorders) and QueueDepth (send-path queue-depth
-// counters); chaos.EventFold, from outside, folds the stream for the
-// chaos oracles as it arrives. No probe keeps a copy of the run.
-//
-// The harness feeds every probe-registered sink, in registration order,
-// before the external Harness.Sink — so a probe's tee and a JSON trace
-// file see the same stream in the same order.
+// The contract that makes sinks composable is zero perturbation: a sink
+// must not draw randomness, schedule events, or otherwise change the
+// simulation. Every event is emitted identically whether or not anyone
+// listens, so a run's results are bit-identical under any sink set
+// (TestSinksDoNotPerturbTheRun pins this).
 package obs

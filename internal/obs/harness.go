@@ -15,11 +15,12 @@ import (
 
 // Harness describes one instrumented run: a warm PRESS deployment under
 // steady Poisson load, an optional fault schedule, and an observation
-// horizon. Run executes it with any set of probes attached.
+// horizon. Run executes it, feeding the run's event stream to any trace
+// sinks passed in.
 //
 // Determinism contract: the run is a pure function of the harness fields
-// — same harness, same results, bit for bit — and of nothing else.
-// Probes and the external Sink observe the run without perturbing it.
+// — same harness, same results, bit for bit — and of nothing else. Trace
+// sinks observe the run without perturbing it.
 type Harness struct {
 	// Seed drives the kernel; the default Zipf sampler derives its own
 	// source from Seed+7 (the historical harness convention, kept so
@@ -42,16 +43,18 @@ type Harness struct {
 	// kernel running Drain longer so every outstanding client timer
 	// resolves (the chaos conservation oracles need this).
 	Drain time.Duration
-	// Sink, when non-nil, additionally receives the run's full event
-	// stream (e.g. a trace.FileSink). It is fed after every
-	// probe-registered sink. Pass an untyped nil to disable — a typed
-	// nil pointer in the interface would be fed and dereferenced.
-	Sink trace.Sink
+	// Latency turns on end-to-end latency tracking (connect attempt to
+	// final byte) in the run's recorder, whose per-second bins then each
+	// hold a histogram next to their served and failed counts; read it
+	// from Run.Rec. It also switches on the per-request trace spans
+	// (EvRequest begin/end) when the run is traced — the workload emits
+	// them only when its recorder tracks latency.
+	Latency bool
 	// Checkpoints, when non-empty, must be strictly ascending and at
 	// most LoadFor: the kernel runs in segments and OnCheckpoint fires
 	// between them with the live run (the chaos soak mode judges
 	// invariants mid-run this way). Checkpoint callbacks are observers:
-	// like probes they must not perturb the run — no randomness, no
+	// like trace sinks they must not perturb the run — no randomness, no
 	// scheduled events. Segmented running emits one kernel "run" trace
 	// event per segment; otherwise the event stream is untouched.
 	Checkpoints []sim.Time
@@ -61,28 +64,7 @@ type Harness struct {
 	OnCheckpoint func(i int, run *Run)
 }
 
-// Runtime is what a probe sees at attach time: the kernel and the
-// throughput recorder exist; nothing has emitted yet.
-type Runtime struct {
-	K   *sim.Kernel
-	Rec *metrics.Recorder
-
-	sinks []trace.Sink
-}
-
-// Tee registers a trace sink; the harness fans the run's event stream
-// out to every registered sink in registration order.
-func (rt *Runtime) Tee(s trace.Sink) { rt.sinks = append(rt.sinks, s) }
-
-// Probe is one pluggable observation: attach to the run before it
-// starts, finalize into a typed result after it stops. Implementations
-// must not perturb the run (no randomness, no scheduled events).
-type Probe interface {
-	Attach(rt *Runtime)
-	Finalize(run *Run)
-}
-
-// Run is the completed run handed to Finalize and returned to the
+// Run is the completed run, handed to OnCheckpoint and returned to the
 // caller: the kernel (virtual clock, step count), the throughput
 // recorder (timeline, marks, totals), the clients (conservation
 // counters), and the deployment (membership, inventory).
@@ -105,30 +87,33 @@ func (m multiSink) Record(e trace.Event) {
 	}
 }
 
-// Run executes the harness with the given probes. The phases are, in
-// order: kernel + recorder construction, probe attach, tracer assembly,
-// deployment start + cache warm-up, client start, fault scheduling,
-// load horizon, optional drain, probe finalize. An error means a fault
-// spec was invalid — no simulation ran.
-func (h Harness) Run(probes ...Probe) (*Run, error) {
+// Run executes the harness, feeding the run's event stream to every
+// non-nil sink in argument order. The phases are, in order: kernel +
+// recorder construction, tracer assembly, deployment start + cache
+// warm-up, client start, fault scheduling, load horizon, optional drain.
+// An error means a fault spec was invalid — no simulation ran. Pass an
+// untyped nil to leave a sink out — a typed nil pointer in the interface
+// would be fed and dereferenced.
+func (h Harness) Run(sinks ...trace.Sink) (*Run, error) {
 	k := sim.New(h.Seed)
 	rec := metrics.NewRecorder(k, time.Second)
+	if h.Latency {
+		rec.TrackLatency()
+	}
 
-	rt := &Runtime{K: k, Rec: rec}
-	for _, p := range probes {
-		p.Attach(rt)
+	var fed multiSink
+	for _, s := range sinks {
+		if s != nil {
+			fed = append(fed, s)
+		}
 	}
-	sinks := rt.sinks
-	if h.Sink != nil {
-		sinks = append(sinks, h.Sink)
-	}
-	switch len(sinks) {
+	switch len(fed) {
 	case 0:
 		// tracing stays disabled: emitters cost one nil check each
 	case 1:
-		k.SetTracer(trace.New(sinks[0]))
+		k.SetTracer(trace.New(fed[0]))
 	default:
-		k.SetTracer(trace.New(multiSink(sinks)))
+		k.SetTracer(trace.New(fed))
 	}
 
 	d := press.NewDeployment(k, h.Config)
@@ -178,8 +163,5 @@ func (h Harness) Run(probes ...Probe) (*Run, error) {
 		k.Run(h.LoadFor + h.Drain)
 	}
 
-	for _, p := range probes {
-		p.Finalize(run)
-	}
 	return run, nil
 }

@@ -26,18 +26,36 @@ import (
 // the timestamp of the trace event that completes the hop, so the hop
 // profiles window and segment exactly like the end-to-end recorder.
 //
-// Hops requires a Latency probe attached alongside it: the request
-// begin/end spans it correlates on are emitted only when the run's
-// recorder tracks latency. Without one the hop recorders stay empty.
+// Hops is a trace sink: pass it to Harness.Run with Harness.Latency set.
+// The request begin/end spans it correlates on are emitted only when the
+// run's recorder tracks latency; without it the hop recorders stay empty.
 // Samples are recorded only for requests still unsettled at the hop — a
 // hop completing after the client gave up is not a client-visible
 // latency.
 type Hops struct {
-	// Accept, Forward, Serve are the per-hop recorders, usable once
-	// Attach ran.
+	// Accept, Forward, Serve are the per-hop recorders. They are fed only
+	// through Settle, which carries its own timestamp, so they need no
+	// kernel.
 	Accept, Forward, Serve *metrics.Recorder
 
 	state map[uint64]*hopState
+}
+
+// NewHops returns an empty hop decomposition, ready to be passed to
+// Harness.Run.
+func NewHops() *Hops {
+	return &Hops{
+		Accept:  hopRecorder(),
+		Forward: hopRecorder(),
+		Serve:   hopRecorder(),
+		state:   make(map[uint64]*hopState),
+	}
+}
+
+func hopRecorder() *metrics.Recorder {
+	r := metrics.NewRecorder(nil, time.Second)
+	r.TrackLatency()
+	return r
 }
 
 type hopState struct {
@@ -48,32 +66,11 @@ type hopState struct {
 	forwarded bool
 }
 
-// Attach implements Probe.
-func (p *Hops) Attach(rt *Runtime) {
-	p.Accept = hopRecorder(rt)
-	p.Forward = hopRecorder(rt)
-	p.Serve = hopRecorder(rt)
-	p.state = make(map[uint64]*hopState)
-	rt.Tee(hopSink{p})
-}
-
-func hopRecorder(rt *Runtime) *metrics.Recorder {
-	r := metrics.NewRecorder(rt.K, time.Second)
-	r.TrackLatency()
-	return r
-}
-
-// Finalize implements Probe.
-func (p *Hops) Finalize(*Run) {}
-
-// hopSink correlates the request-lifecycle events. Per-id map lookups
-// only — no iteration — so the correlation is deterministic, and entries
-// die with their request's end event, bounding the state to the in-flight
-// window.
-type hopSink struct{ p *Hops }
-
-func (hs hopSink) Record(e trace.Event) {
-	p := hs.p
+// Record implements trace.Sink. It correlates the request-lifecycle
+// events by per-id map lookups only — no iteration — so the correlation
+// is deterministic, and entries die with their request's end event,
+// bounding the state to the in-flight window.
+func (p *Hops) Record(e trace.Event) {
 	switch e.Name {
 	case trace.EvRequest:
 		switch e.Ph {

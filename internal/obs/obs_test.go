@@ -10,13 +10,6 @@ import (
 	"vivo/internal/trace"
 )
 
-// teeProbe keeps every event its tee sees, for comparing the probe
-// stream with the external sink's.
-type teeProbe struct{ trace.Recorder }
-
-func (p *teeProbe) Attach(rt *Runtime) { rt.Tee(&p.Recorder) }
-func (p *teeProbe) Finalize(*Run)      {}
-
 // quickHarness is a small deterministic run: 4 nodes at a light load,
 // short horizon, with an optional node-crash mid-run.
 func quickHarness(withFault bool) Harness {
@@ -40,19 +33,18 @@ func quickHarness(withFault bool) Harness {
 	return h
 }
 
-// The zero-perturbation contract: a run with every probe attached must
-// be step-for-step and count-for-count identical to a bare run of the
-// same harness. Probes only watch.
-func TestProbesDoNotPerturbTheRun(t *testing.T) {
+// The zero-perturbation contract: a run with latency tracking on and
+// every kind of sink fed must be step-for-step and count-for-count
+// identical to a bare run of the same harness. Sinks only watch.
+func TestSinksDoNotPerturbTheRun(t *testing.T) {
 	h := quickHarness(true)
 
 	bare, err := h.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrumented, err := h.Run(
-		&Throughput{}, &Latency{}, &teeProbe{}, &QueueDepth{}, &Hops{},
-	)
+	h.Latency = true
+	instrumented, err := h.Run(trace.NewRecorder(), NewHops())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +64,12 @@ func TestProbesDoNotPerturbTheRun(t *testing.T) {
 
 func TestHarnessIsDeterministic(t *testing.T) {
 	h := quickHarness(true)
-	p1, p2 := &Throughput{}, &Throughput{}
-	r1, err := h.Run(p1, &Latency{})
+	h.Latency = true
+	r1, err := h.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := h.Run(p2, &Latency{})
+	r2, err := h.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +78,7 @@ func TestHarnessIsDeterministic(t *testing.T) {
 	if r1.K.Steps() != r2.K.Steps() || s1 != s2 || f1 != f2 {
 		t.Fatal("same harness must reproduce the same run")
 	}
-	b1, b2 := p1.Timeline.Points, p2.Timeline.Points
+	b1, b2 := r1.Rec.Timeline().Points, r2.Rec.Timeline().Points
 	if len(b1) != len(b2) {
 		t.Fatalf("timeline lengths diverge: %d vs %d", len(b1), len(b2))
 	}
@@ -105,13 +97,14 @@ func TestBadFaultSpecIsAnErrorNotAPanic(t *testing.T) {
 	}
 }
 
-// Hop correlation sanity: with Latency wired, the accept hop must see
+// Hop correlation sanity: with Latency on, the accept hop must see
 // (nearly) every served request, the serve hop must cover both local and
 // forwarded requests, and forwarded requests must be a strict subset.
 func TestHopsDecomposeServedRequests(t *testing.T) {
 	h := quickHarness(false)
-	hops := &Hops{}
-	run, err := h.Run(&Latency{}, hops)
+	h.Latency = true
+	hops := NewHops()
+	run, err := h.Run(hops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +129,11 @@ func TestHopsDecomposeServedRequests(t *testing.T) {
 	}
 }
 
-// Without a Latency probe the request spans are not emitted, so Hops
+// Without Harness.Latency the request spans are not emitted, so Hops
 // must stay empty rather than mis-correlate.
-func TestHopsRequireLatencyProbe(t *testing.T) {
+func TestHopsRequireLatency(t *testing.T) {
 	h := quickHarness(false)
-	hops := &Hops{}
+	hops := NewHops()
 	if _, err := h.Run(hops); err != nil {
 		t.Fatal(err)
 	}
@@ -149,40 +142,21 @@ func TestHopsRequireLatencyProbe(t *testing.T) {
 	}
 }
 
-func TestQueueDepthObservesCongestion(t *testing.T) {
-	// Depth counters fire only when the send path backs up: run near
-	// capacity with a crashed peer so the TCP buffers actually fill.
+// Every sink passed to Run sees the same stream, event for event, in the
+// same order, and a nil sink is skipped rather than fed.
+func TestSinksSeeTheSameStream(t *testing.T) {
 	h := quickHarness(true)
-	h.Rate = press.Table1Throughput(press.TCPPress)
-	qd := &QueueDepth{}
-	if _, err := h.Run(qd); err != nil {
-		t.Fatal(err)
-	}
-	if qd.OutSamples == 0 {
-		t.Fatal("no queue-depth counter events observed")
-	}
-	if qd.MaxOut < 0 || qd.MaxPeer < 0 {
-		t.Fatalf("negative depth: out=%d peer=%d", qd.MaxOut, qd.MaxPeer)
-	}
-}
-
-// A probe's tee and the external Harness.Sink see the same stream, event
-// for event, in the same order (the contract in doc.go).
-func TestEventLogMatchesExternalSink(t *testing.T) {
-	h := quickHarness(true)
-	external := trace.NewRecorder()
-	h.Sink = external
-	tee := &teeProbe{}
-	run, err := h.Run(tee)
+	first, last := trace.NewRecorder(), trace.NewRecorder()
+	run, err := h.Run(first, nil, last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tee.Len() == 0 {
-		t.Fatal("probe tee saw no events on a traced run")
+	if first.Len() == 0 {
+		t.Fatal("first sink saw no events on a traced run")
 	}
-	if !reflect.DeepEqual(tee.Events(), external.Events()) {
-		t.Fatalf("probe tee saw %d events, external sink %d; the streams differ",
-			tee.Len(), external.Len())
+	if !reflect.DeepEqual(first.Events(), last.Events()) {
+		t.Fatalf("first sink saw %d events, last sink %d; the streams differ",
+			first.Len(), last.Len())
 	}
 	if run.End != h.LoadFor {
 		t.Fatalf("run.End = %v, want %v", run.End, h.LoadFor)

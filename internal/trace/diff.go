@@ -7,9 +7,10 @@ import (
 	"io"
 )
 
-// This file is the trace-diff engine behind cmd/tracediff: it parses a
-// Chrome trace_event JSON file back into an event list and localizes the
-// first divergence between two runs. Byte-identical traces are the repo's
+// This file is the one reader of trace files, behind cmd/tracediff and
+// cmd/tracecheck: it parses a Chrome trace_event JSON file back into an
+// event list, checks its structure, and localizes the first divergence
+// between two runs. Byte-identical traces are the repo's
 // determinism contract (TestTraceDeterministic), so when two runs that
 // should match do not, the first diverging event — not a 100 MB file diff
 // — is the debugging starting point.
@@ -20,8 +21,12 @@ import (
 type ParsedEvent struct {
 	Name string
 	Ph   string
-	TS   float64
-	Raw  string
+	// ID is the async-span correlation id ("" when absent).
+	ID string
+	TS float64
+	// PID and TID place the event on its track; nil when absent.
+	PID, TID *int
+	Raw      string
 }
 
 // Meta reports whether the event is writer bookkeeping (process/thread
@@ -48,7 +53,10 @@ func ParseJSON(r io.Reader) ([]ParsedEvent, error) {
 		var e struct {
 			Name string  `json:"name"`
 			Ph   string  `json:"ph"`
+			ID   string  `json:"id"`
 			TS   float64 `json:"ts"`
+			PID  *int    `json:"pid"`
+			TID  *int    `json:"tid"`
 		}
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
@@ -57,9 +65,47 @@ func ParseJSON(r io.Reader) ([]ParsedEvent, error) {
 		if err := json.Compact(&compact, raw); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
-		out = append(out, ParsedEvent{Name: e.Name, Ph: e.Ph, TS: e.TS, Raw: compact.String()})
+		out = append(out, ParsedEvent{Name: e.Name, Ph: e.Ph, ID: e.ID, TS: e.TS,
+			PID: e.PID, TID: e.TID, Raw: compact.String()})
 	}
 	return out, nil
+}
+
+// Check validates a parsed trace the way NewJSON writes one: every event
+// has an instant, metadata, counter or async begin/end phase; async
+// events carry their correlation id; every event names its pid and tid;
+// the non-metadata events run forward in time (the simulation emits in
+// virtual-time order, so a trace that violates it is corrupt); and at
+// least one event is not metadata.
+func Check(evs []ParsedEvent) error {
+	var last float64
+	n := 0
+	for i, e := range evs {
+		switch e.Ph {
+		case "i", "M", "C":
+		case "b", "e":
+			if e.ID == "" {
+				return fmt.Errorf("event %d (%s) is an async %q without an id", i, e.Name, e.Ph)
+			}
+		default:
+			return fmt.Errorf("event %d has unexpected phase %q", i, e.Ph)
+		}
+		if e.PID == nil || e.TID == nil {
+			return fmt.Errorf("event %d (%s) lacks pid/tid", i, e.Name)
+		}
+		if e.Meta() {
+			continue
+		}
+		if e.TS < last {
+			return fmt.Errorf("event %d (%s) goes back in time (%.3f < %.3f)", i, e.Name, e.TS, last)
+		}
+		last = e.TS
+		n++
+	}
+	if n == 0 {
+		return fmt.Errorf("no events besides metadata")
+	}
+	return nil
 }
 
 // landmarks are the event names worth orienting by when reporting a

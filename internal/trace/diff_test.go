@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -126,4 +128,83 @@ func TestDiffPrefix(t *testing.T) {
 	if d.B != "" || d.A == "" {
 		t.Fatalf("exhausted side not reported: A=%q B=%q", d.A, d.B)
 	}
+}
+
+// TestCheck accepts what NewJSON writes and rejects each malformation
+// tracecheck guards against.
+func TestCheck(t *testing.T) {
+	good := `{"name":"process_name","ph":"M","pid":0,"tid":0},
+		{"name":"a","ph":"i","ts":1,"pid":0,"tid":1},
+		{"name":"r","ph":"b","id":"0x1","ts":2,"pid":0,"tid":4},
+		{"name":"q","ph":"C","ts":2,"pid":0,"tid":1},
+		{"name":"r","ph":"e","id":"0x1","ts":3,"pid":0,"tid":4}`
+	parse := func(events string) []ParsedEvent {
+		t.Helper()
+		evs, err := ParseJSON(strings.NewReader(`{"traceEvents":[` + events + `]}`))
+		if err != nil {
+			t.Fatalf("ParseJSON(%s): %v", events, err)
+		}
+		return evs
+	}
+	if err := Check(parse(good)); err != nil {
+		t.Fatalf("hand-written trace rejected: %v", err)
+	}
+	written, err := ParseJSON(bytes.NewReader(renderJSON(t, sample())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(written); err != nil {
+		t.Fatalf("NewJSON output rejected: %v", err)
+	}
+	for _, tc := range []struct{ name, events, want string }{
+		{"empty", ``, "no events besides metadata"},
+		{"metadata only", `{"name":"process_name","ph":"M","pid":0,"tid":0}`, "no events besides metadata"},
+		{"unknown phase", `{"name":"a","ph":"X","ts":1,"pid":0,"tid":0}`, "unexpected phase"},
+		{"span without id", `{"name":"r","ph":"b","ts":1,"pid":0,"tid":0}`, "without an id"},
+		{"no pid", `{"name":"a","ph":"i","ts":1,"tid":0}`, "lacks pid/tid"},
+		{"no tid", `{"name":"a","ph":"i","ts":1,"pid":0}`, "lacks pid/tid"},
+		{"back in time", `{"name":"a","ph":"i","ts":2,"pid":0,"tid":0},{"name":"b","ph":"i","ts":1,"pid":0,"tid":0}`, "goes back in time"},
+	} {
+		err := Check(parse(tc.events))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzParseJSON feeds arbitrary bytes to the trace reader. It must never
+// panic, and whatever it accepts must read back unchanged when its events'
+// raw JSON is written out again; Check must judge the result without
+// panicking.
+func FuzzParseJSON(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewJSON(&buf)
+	for _, e := range sample() {
+		w.Record(e)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"traceEvents":[{"name":"r","ph":"b","id":"0x1","ts":1.5,"pid":0,"tid":4}]}`))
+	f.Add([]byte(`{"traceEvents":null}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		evs, err := ParseJSON(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		_ = Check(evs)
+		raws := make([]string, len(evs))
+		for i, e := range evs {
+			raws[i] = e.Raw
+		}
+		doc := `{"traceEvents":[` + strings.Join(raws, ",") + `]}`
+		back, err := ParseJSON(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%q parsed, but its events written out do not: %v", b, err)
+		}
+		if !reflect.DeepEqual(evs, back) {
+			t.Fatalf("%q: events changed on a round trip:\n%+v\n%+v", b, evs, back)
+		}
+	})
 }
